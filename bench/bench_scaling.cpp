@@ -298,7 +298,7 @@ BENCHMARK(BM_Growth)->Arg(100000)->Arg(1000000)->Iterations(1)->Unit(benchmark::
 graph::digraph closure_instance(std::int64_t nodes) {
   const auto positions = make_positions(nodes);
   util::thread_pool pool(0);
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, pm.max_range(), pool);
+  const graph::undirected_graph gr = graph::build_max_power_graph(positions, pm, pool);
   std::vector<std::vector<graph::node_id>> out(gr.num_nodes());
   for (graph::node_id u = 0; u < gr.num_nodes(); ++u) {
     for (const graph::node_id v : gr.neighbors(u)) {
@@ -308,15 +308,15 @@ graph::digraph closure_instance(std::int64_t nodes) {
   return graph::digraph::from_adjacency(std::move(out));
 }
 
-/// Serial baseline vs the two-pass parallel count/fill scatter for the
-/// in-neighbor build inside symmetric_closure. The parallel/serial
-/// ratio is the bench gate: the scatter rewrite must never regress
-/// below the serial path (ratio stays near or under 1 even on
-/// single-core runners, well under on multi-core ones).
+/// The one symmetric_closure implementation at width 1 vs the full
+/// hardware width. The full-width / width-1 ratio is the bench gate:
+/// the two-pass count/fill scatter must never lose to its own width-1
+/// run (ratio near 1 on single-core runners, well under on multi-core
+/// ones). The "Serial" row name is kept so --history artifacts line up.
 void BM_SymmetricClosureSerial(benchmark::State& state) {
   const graph::digraph d = closure_instance(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(d.symmetric_closure());
+    benchmark::DoNotOptimize(d.symmetric_closure(util::serial_pool()));
   }
 }
 BENCHMARK(BM_SymmetricClosureSerial)->Arg(100000)->Unit(benchmark::kMillisecond);
@@ -375,7 +375,7 @@ void BM_DynamicTickFullRebuild(benchmark::State& state) {
   dynamic_tick::motion m(state.range(0));
   for (auto _ : state) {
     m.step();
-    benchmark::DoNotOptimize(graph::build_max_power_graph(m.positions, pm.max_range()));
+    benchmark::DoNotOptimize(graph::build_max_power_graph(m.positions, pm));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -558,7 +558,7 @@ BENCHMARK(BM_DynamicTickPartitioned)->Arg(100000)->Iterations(1)->Unit(benchmark
 void BM_MaxPowerGraphGrid(benchmark::State& state) {
   const auto positions = make_positions(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::build_max_power_graph(positions, pm.max_range()));
+    benchmark::DoNotOptimize(graph::build_max_power_graph(positions, pm));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -22,7 +22,7 @@ alpha_scan_result scan_alpha(std::span<const geom::vec2> positions,
                              std::size_t steps, growth_mode mode) {
   alpha_scan_result result;
   if (steps == 0) return result;
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power.max_range());
+  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power);
 
   bool prefix_intact = true;
   result.all_preserved = true;
@@ -43,7 +43,7 @@ alpha_scan_result scan_alpha(std::span<const geom::vec2> positions,
 double max_preserving_alpha(std::span<const geom::vec2> positions,
                             const radio::power_model& power, double lo, double hi, double tol,
                             growth_mode mode) {
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power.max_range());
+  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power);
   if (!preserved_at(positions, power, gr, lo, mode)) return 0.0;
   if (preserved_at(positions, power, gr, hi, mode)) return hi;
   // Invariant: lo preserves, hi does not.

@@ -4,142 +4,84 @@
 #include <string>
 #include <utility>
 
-#include "graph/euclidean.h"
 #include "graph/metrics.h"
 #include "graph/traversal.h"
 #include "util/parallel.h"
 
 namespace cbtc::algo {
-namespace {
-
-/// The first two desiderata — subgraph of G_R and partition equality —
-/// are identical under every radio model; both public overloads share
-/// this pass (violations land in the report in this order, before the
-/// per-node radius/power scan).
-void check_structure(const graph::undirected_graph& topology,
-                     const graph::undirected_graph& gr, util::thread_pool& pool,
-                     invariant_report& rep) {
-  rep.subgraph_of_max_power = true;
-  for (const graph::edge& e : topology.edges()) {
-    if (!gr.has_edge(e.u, e.v)) {
-      rep.subgraph_of_max_power = false;
-      rep.violations.push_back("edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-                               ") not in G_R");
-    }
-  }
-
-  graph::connectivity_scratch scratch;
-  rep.connectivity_preserved = graph::same_connectivity(topology, gr, pool, scratch);
-  if (!rep.connectivity_preserved) {
-    rep.violations.push_back("component partition differs: topology has " +
-                             std::to_string(graph::connected_components(topology).count) +
-                             " components, G_R has " +
-                             std::to_string(graph::connected_components(gr).count));
-  }
-}
-
-}  // namespace
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  unsigned intra_threads) {
-  return check_invariants(topology, positions, max_range,
-                          graph::build_max_power_graph(positions, max_range), intra_threads);
-}
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  const graph::undirected_graph& max_power_graph,
-                                  unsigned intra_threads) {
-  util::thread_pool pool(intra_threads);
-  return check_invariants(topology, positions, max_range, max_power_graph, pool);
-}
-
-invariant_report check_invariants(const graph::undirected_graph& topology,
-                                  std::span<const geom::vec2> positions, double max_range,
-                                  const graph::undirected_graph& max_power_graph,
-                                  util::thread_pool& pool) {
-  invariant_report rep;
-  check_structure(topology, max_power_graph, pool, rep);
-
-  // Per-node radius scan, reduced in fixed block order so the report
-  // (flag and violation order) is identical for any thread count.
-  constexpr double tol = 1e-9;
-  struct radius_partial {
-    bool ok{true};
-    std::vector<std::string> violations;
-  };
-  const radius_partial radii = pool.reduce<radius_partial>(
-      topology.num_nodes(), {},
-      [&](std::size_t lo, std::size_t hi) {
-        radius_partial part;
-        for (std::size_t u = lo; u < hi; ++u) {
-          const double r =
-              graph::node_radius(topology, positions, static_cast<graph::node_id>(u), 0.0);
-          if (r > max_range * (1.0 + tol)) {
-            part.ok = false;
-            part.violations.push_back("node " + std::to_string(u) + " needs radius " +
-                                      std::to_string(r) + " > R = " + std::to_string(max_range));
-          }
-        }
-        return part;
-      },
-      [](radius_partial& total, const radius_partial& p) {
-        total.ok = total.ok && p.ok;
-        total.violations.insert(total.violations.end(), p.violations.begin(),
-                                p.violations.end());
-      });
-  rep.radii_within_max_range = radii.ok;
-  rep.violations.insert(rep.violations.end(), radii.violations.begin(), radii.violations.end());
-  return rep;
-}
 
 invariant_report check_invariants(const graph::undirected_graph& topology,
                                   std::span<const geom::vec2> positions,
                                   const radio::link_model& link,
                                   const graph::undirected_graph& max_power_graph,
                                   util::thread_pool& pool) {
-  if (link.is_isotropic()) {
-    return check_invariants(topology, positions, link.max_range(), max_power_graph, pool);
+  invariant_report rep;
+
+  // The first two desiderata — subgraph of G_R and partition equality
+  // — are identical under every radio model.
+  rep.subgraph_of_max_power = true;
+  for (const graph::edge& e : topology.edges()) {
+    if (!max_power_graph.has_edge(e.u, e.v)) {
+      rep.subgraph_of_max_power = false;
+      rep.violations.push_back("edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
+                               ") not in G_R");
+    }
+  }
+  graph::connectivity_scratch scratch;
+  rep.connectivity_preserved = graph::same_connectivity(topology, max_power_graph, pool, scratch);
+  if (!rep.connectivity_preserved) {
+    rep.violations.push_back("component partition differs: topology has " +
+                             std::to_string(graph::connected_components(topology).count) +
+                             " components, G_R has " +
+                             std::to_string(graph::connected_components(max_power_graph).count));
   }
 
-  invariant_report rep;
-  check_structure(topology, max_power_graph, pool, rep);
-
-  // Power desideratum under per-link gains: the worst incident link of
-  // every node must close within the maximum power P.
+  // Per-node reach scan, reduced in fixed block order so the report
+  // (flag and violation order) is identical for any thread count.
+  // Isotropic links keep the paper's geometric radius test; per-link
+  // gains price every node's worst incident link against P.
   constexpr double tol = 1e-9;
+  const bool isotropic = link.is_isotropic();
+  const double max_range = link.max_range();
   const double max_power = link.max_power();
-  struct power_partial {
+  struct reach_partial {
     bool ok{true};
     std::vector<std::string> violations;
   };
-  const power_partial powers = pool.reduce<power_partial>(
+  const reach_partial reach = pool.reduce<reach_partial>(
       topology.num_nodes(), {},
       [&](std::size_t lo, std::size_t hi) {
-        power_partial part;
+        reach_partial part;
         for (std::size_t u = lo; u < hi; ++u) {
+          const auto uid = static_cast<graph::node_id>(u);
+          if (isotropic) {
+            const double r = graph::node_radius(topology, positions, uid, 0.0);
+            if (r > max_range * (1.0 + tol)) {
+              part.ok = false;
+              part.violations.push_back("node " + std::to_string(u) + " needs radius " +
+                                        std::to_string(r) + " > R = " + std::to_string(max_range));
+            }
+            continue;
+          }
           double need = 0.0;
-          for (const graph::node_id v : topology.neighbors(static_cast<graph::node_id>(u))) {
-            need = std::max(need, link.required_power(static_cast<graph::node_id>(u), v,
-                                                      positions[u], positions[v]));
+          for (const graph::node_id v : topology.neighbors(uid)) {
+            need = std::max(need, link.required_power(uid, v, positions[u], positions[v]));
           }
           if (need > max_power * (1.0 + tol)) {
             part.ok = false;
             part.violations.push_back("node " + std::to_string(u) + " needs power " +
-                                      std::to_string(need) +
-                                      " > P = " + std::to_string(max_power));
+                                      std::to_string(need) + " > P = " + std::to_string(max_power));
           }
         }
         return part;
       },
-      [](power_partial& total, const power_partial& p) {
+      [](reach_partial& total, const reach_partial& p) {
         total.ok = total.ok && p.ok;
         total.violations.insert(total.violations.end(), p.violations.begin(),
                                 p.violations.end());
       });
-  rep.radii_within_max_range = powers.ok;
-  rep.violations.insert(rep.violations.end(), powers.violations.begin(), powers.violations.end());
+  rep.radii_within_max_range = reach.ok;
+  rep.violations.insert(rep.violations.end(), reach.violations.begin(), reach.violations.end());
   return rep;
 }
 

@@ -24,7 +24,9 @@ augment_result augment_bridge_resilience(const graph::undirected_graph& topology
                                          std::span<const geom::vec2> positions, double max_range) {
   augment_result res;
   res.topology = topology;
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
+  // G_R depends on R alone; the path-loss exponent is immaterial.
+  const graph::undirected_graph gr =
+      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range));
 
   // Iterate until no avoidable bridge remains. Each added edge kills at
   // least one bridge, so this terminates in O(#bridges) rounds.

@@ -97,14 +97,6 @@ bool has_power_witness(const graph::undirected_graph& c, std::span<const geom::v
 gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
                                              std::span<const geom::vec2> positions,
                                              const radio::link_model& link,
-                                             const gain_removal_options& opts) {
-  util::thread_pool serial(1);
-  return apply_gain_aware_removal(g, positions, link, opts, serial);
-}
-
-gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                             std::span<const geom::vec2> positions,
-                                             const radio::link_model& link,
                                              const gain_removal_options& opts,
                                              util::thread_pool& pool) {
   const graph::undirected_graph candidates = graph::build_max_power_graph(positions, link, pool);

@@ -113,16 +113,9 @@ struct gain_removal_result {
     const gain_removal_options& opts, util::thread_pool& pool);
 
 /// Convenience overload: builds the candidate graph itself.
-[[nodiscard]] gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                                           std::span<const geom::vec2> positions,
-                                                           const radio::link_model& link,
-                                                           const gain_removal_options& opts,
-                                                           util::thread_pool& pool);
-
-/// Serial convenience overload.
-[[nodiscard]] gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                                           std::span<const geom::vec2> positions,
-                                                           const radio::link_model& link,
-                                                           const gain_removal_options& opts = {});
+[[nodiscard]] gain_removal_result apply_gain_aware_removal(
+    const graph::undirected_graph& g, std::span<const geom::vec2> positions,
+    const radio::link_model& link, const gain_removal_options& opts = {},
+    util::thread_pool& pool = util::serial_pool());
 
 }  // namespace cbtc::algo

@@ -41,14 +41,6 @@ graph::digraph cbtc_result::neighbor_digraph() const {
   return d;
 }
 
-graph::undirected_graph cbtc_result::symmetric_closure() const {
-  return neighbor_digraph().symmetric_closure();
-}
-
-graph::undirected_graph cbtc_result::symmetric_core() const {
-  return neighbor_digraph().symmetric_core();
-}
-
 graph::undirected_graph cbtc_result::symmetric_closure(util::thread_pool& pool) const {
   return neighbor_digraph().symmetric_closure(pool);
 }
@@ -271,15 +263,16 @@ node_result run_continuous_link(std::span<const link_candidate> cands,
 
 }  // namespace
 
-cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::power_model& power,
+cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::link_model& link,
                      const cbtc_params& params) {
   if (params.alpha <= 0.0 || params.alpha >= geom::two_pi)
     throw std::invalid_argument("run_cbtc: alpha must be in (0, 2*pi)");
   if (params.increase_factor <= 1.0)
     throw std::invalid_argument("run_cbtc: increase_factor must be > 1");
 
-  const double p0 =
-      params.initial_power > 0.0 ? params.initial_power : power.required_power(power.max_range() / 16.0);
+  const radio::power_model& power = link.power();
+  const double p0 = params.initial_power > 0.0 ? params.initial_power
+                                               : power.required_power(power.max_range() / 16.0);
 
   cbtc_result result;
   result.params = params;
@@ -287,56 +280,30 @@ cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::power_m
 
   // Growth is a pure per-node computation over the immutable grid, so
   // the parallel loop is deterministic by construction: node u's
-  // outcome lands in slot u no matter which thread ran it.
-  const geom::spatial_grid grid(positions, power.max_range());
+  // outcome lands in slot u no matter which thread ran it. The grid
+  // prunes by the longest feasible link (exactly R when isotropic).
+  const double reach = link.max_candidate_range();
+  const geom::spatial_grid grid(positions, reach);
   result.nodes.resize(positions.size());
   util::thread_pool pool(params.intra_threads);
+  const bool discrete = params.mode == growth_mode::discrete;
+  const bool isotropic = link.is_isotropic();
   pool.parallel_for_chunks(positions.size(), growth_chunk, [&](std::size_t lo, std::size_t hi) {
     growth_arena arena;
     for (std::size_t u = lo; u < hi; ++u) {
-      candidates_into(static_cast<node_id>(u), positions, grid, power.max_range(), arena);
-      result.nodes[u] = params.mode == growth_mode::discrete
-                            ? run_discrete(arena.cands, power, params, p0, arena.dirs)
-                            : run_continuous(arena.cands, power, params, arena.dirs);
-    }
-  });
-  return result;
-}
-
-cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::link_model& link,
-                     const cbtc_params& params) {
-  // The isotropic fast path *is* the original algorithm — delegating
-  // keeps its results (and its sorted-prefix discovery loop) bit for
-  // bit.
-  if (link.is_isotropic()) return run_cbtc(positions, link.power(), params);
-
-  if (params.alpha <= 0.0 || params.alpha >= geom::two_pi)
-    throw std::invalid_argument("run_cbtc: alpha must be in (0, 2*pi)");
-  if (params.increase_factor <= 1.0)
-    throw std::invalid_argument("run_cbtc: increase_factor must be > 1");
-
-  const double p0 = params.initial_power > 0.0
-                        ? params.initial_power
-                        : link.power().required_power(link.max_range() / 16.0);
-
-  cbtc_result result;
-  result.params = params;
-  if (positions.empty()) return result;
-
-  // The grid prunes by the longest feasible link; the per-link filter
-  // inside link_candidates_of decides. Per-node growth stays pure, so
-  // the parallel loop is deterministic exactly as in the isotropic
-  // path.
-  const geom::spatial_grid grid(positions, link.max_candidate_range());
-  result.nodes.resize(positions.size());
-  util::thread_pool pool(params.intra_threads);
-  pool.parallel_for_chunks(positions.size(), growth_chunk, [&](std::size_t lo, std::size_t hi) {
-    growth_arena arena;
-    for (std::size_t u = lo; u < hi; ++u) {
-      link_candidates_into(static_cast<node_id>(u), positions, grid, link, arena);
-      result.nodes[u] = params.mode == growth_mode::discrete
-                            ? run_discrete_link(arena.link_cands, link, params, p0, arena.dirs)
-                            : run_continuous_link(arena.link_cands, link, params, arena.dirs);
+      const auto id = static_cast<node_id>(u);
+      if (isotropic) {
+        // Without per-link gains required power is monotone in
+        // distance: the original distance-ordered kernels, bit for bit.
+        candidates_into(id, positions, grid, reach, arena);
+        result.nodes[u] = discrete ? run_discrete(arena.cands, power, params, p0, arena.dirs)
+                                   : run_continuous(arena.cands, power, params, arena.dirs);
+      } else {
+        link_candidates_into(id, positions, grid, link, arena);
+        result.nodes[u] = discrete
+                              ? run_discrete_link(arena.link_cands, link, params, p0, arena.dirs)
+                              : run_continuous_link(arena.link_cands, link, params, arena.dirs);
+      }
     }
   });
   return result;

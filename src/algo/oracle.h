@@ -22,10 +22,7 @@
 #include "graph/types.h"
 #include "radio/power_model.h"
 #include "radio/propagation.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::algo {
 
@@ -65,30 +62,26 @@ struct cbtc_result {
   [[nodiscard]] graph::digraph neighbor_digraph() const;
 
   /// E_alpha: the symmetric closure (the paper's G_alpha edge set).
-  [[nodiscard]] graph::undirected_graph symmetric_closure() const;
+  /// Identical output for any pool width.
+  [[nodiscard]] graph::undirected_graph symmetric_closure(
+      util::thread_pool& pool = util::serial_pool()) const;
 
   /// E^-_alpha: the symmetric core (Section 3.2).
-  [[nodiscard]] graph::undirected_graph symmetric_core() const;
-
-  /// Parallel variants (identical output for any pool width).
-  [[nodiscard]] graph::undirected_graph symmetric_closure(util::thread_pool& pool) const;
-  [[nodiscard]] graph::undirected_graph symmetric_core(util::thread_pool& pool) const;
+  [[nodiscard]] graph::undirected_graph symmetric_core(
+      util::thread_pool& pool = util::serial_pool()) const;
 
   /// Number of boundary nodes.
   [[nodiscard]] std::size_t boundary_count() const;
 };
 
 /// Runs CBTC(alpha) for every node. `positions` defines the network;
-/// the power model supplies p(d), its inverse, and the cap P = p(R).
-[[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
-                                   const radio::power_model& power, const cbtc_params& params);
-
-/// Gain-aware growth: neighbors are discovered in order of *required
-/// link power* (p(d) / gain), which generalizes distance order; a
+/// the link model supplies p(d), its inverse, the cap P = p(R), and
+/// any per-link gains (a bare radio::power_model converts to the
+/// isotropic link). Neighbors are discovered in order of *required
+/// link power* (p(d) / gain), which generalizes distance order: a
 /// broadcast at power p discovers exactly the nodes whose link closes
-/// at p (the medium's decodability test). Delegates to the isotropic
-/// overload — identical results bit for bit — when `link` carries no
-/// per-link gains.
+/// at p (the medium's decodability test). Isotropic links run the
+/// distance-ordered growth of Figure 1 directly.
 [[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
                                    const radio::link_model& link, const cbtc_params& params);
 

@@ -155,6 +155,7 @@ namespace {
 struct parser {
   std::string_view s;
   std::size_t pos{0};
+  std::size_t depth{0};  // open containers around the current value
 
   [[noreturn]] void fail(const std::string& what) const {
     throw std::invalid_argument("JSON, offset " + std::to_string(pos) + ": " + what);
@@ -237,32 +238,44 @@ struct parser {
     return j;
   }
 
+  jv parse_object() {
+    jv obj = jv::object();
+    ++pos;
+    if (consume('}')) return obj;
+    for (;;) {
+      skip_ws();
+      std::string key = parse_string();
+      expect(':');
+      obj.fields.emplace_back(std::move(key), parse_value());
+      if (consume(',')) continue;
+      expect('}');
+      return obj;
+    }
+  }
+
+  jv parse_array() {
+    jv arr = jv::array();
+    ++pos;
+    if (consume(']')) return arr;
+    for (;;) {
+      arr.items.push_back(parse_value());
+      if (consume(',')) continue;
+      expect(']');
+      return arr;
+    }
+  }
+
   jv parse_value() {
     const char c = peek();
-    if (c == '{') {
-      jv obj = jv::object();
-      ++pos;
-      if (consume('}')) return obj;
-      for (;;) {
-        skip_ws();
-        std::string key = parse_string();
-        expect(':');
-        obj.fields.emplace_back(std::move(key), parse_value());
-        if (consume(',')) continue;
-        expect('}');
-        return obj;
+    if (c == '{' || c == '[') {
+      // Containers recurse: cap the depth so hostile input ("[[[[...")
+      // is a typed error, not a stack overflow.
+      if (++depth > max_nesting_depth) {
+        fail("nesting deeper than " + std::to_string(max_nesting_depth) + " levels");
       }
-    }
-    if (c == '[') {
-      jv arr = jv::array();
-      ++pos;
-      if (consume(']')) return arr;
-      for (;;) {
-        arr.items.push_back(parse_value());
-        if (consume(',')) continue;
-        expect(']');
-        return arr;
-      }
+      jv v = c == '{' ? parse_object() : parse_array();
+      --depth;
+      return v;
     }
     if (c == '"') return jv::of(parse_string());
     if (c == 't') {

@@ -14,6 +14,7 @@
 // type-mismatched values are errors, never silently dropped.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <ostream>
@@ -56,8 +57,14 @@ struct jv {
 /// Pretty-prints `v` (2-space indent, scalar arrays on one line).
 void write_value(std::ostream& os, const jv& v, int indent);
 
+/// Deepest container nesting parse_document accepts. Scenario files
+/// and wire frames nest under ten levels; the cap bounds the parser's
+/// recursion (and the document tree's) on hostile input.
+inline constexpr std::size_t max_nesting_depth = 64;
+
 /// Parses one JSON value; throws std::invalid_argument with an
-/// offset-annotated message on malformed input or trailing content.
+/// offset-annotated message on malformed input, trailing content, or
+/// containers nested deeper than max_nesting_depth.
 [[nodiscard]] jv parse_document(std::string_view text);
 
 // ---- object field access (strict: unknown keys are errors) ---------

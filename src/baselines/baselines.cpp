@@ -12,13 +12,17 @@ namespace cbtc::baselines {
 
 using graph::node_id;
 
+// The baselines are unit-disk constructions over G_R, which depends on
+// R alone: any path-loss exponent (2.0 below) builds the same graph.
+
 graph::undirected_graph euclidean_mst(std::span<const geom::vec2> positions, double max_range) {
   struct weighted {
     double len_sq;
     node_id u, v;
   };
   std::vector<weighted> edges;
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
+  const graph::undirected_graph gr =
+      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range));
   for (const graph::edge& e : gr.edges()) {
     edges.push_back({geom::distance_sq(positions[e.u], positions[e.v]), e.u, e.v});
   }
@@ -36,7 +40,8 @@ graph::undirected_graph euclidean_mst(std::span<const geom::vec2> positions, dou
 
 graph::undirected_graph relative_neighborhood_graph(std::span<const geom::vec2> positions,
                                                     double max_range) {
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
+  const graph::undirected_graph gr =
+      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range));
   graph::undirected_graph rng(positions.size());
   for (const graph::edge& e : gr.edges()) {
     const double d_uv = geom::distance_sq(positions[e.u], positions[e.v]);
@@ -58,7 +63,8 @@ graph::undirected_graph relative_neighborhood_graph(std::span<const geom::vec2> 
 }
 
 graph::undirected_graph gabriel_graph(std::span<const geom::vec2> positions, double max_range) {
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, max_range);
+  const graph::undirected_graph gr =
+      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range));
   graph::undirected_graph gg(positions.size());
   for (const graph::edge& e : gr.edges()) {
     const geom::vec2 mid = (positions[e.u] + positions[e.v]) / 2.0;

@@ -94,27 +94,6 @@ digraph digraph::from_csr(std::vector<std::size_t> offsets, std::vector<node_id>
   return d;
 }
 
-undirected_graph digraph::symmetric_closure() const {
-  undirected_graph g(num_nodes());
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    for (node_id v : out_neighbors(u)) g.add_edge(u, v);
-  }
-  return g;
-}
-
-undirected_graph digraph::symmetric_core() const {
-  // Per-node adjacency built append-only (out-lists are sorted, so each
-  // list comes out sorted) and adopted wholesale — no per-edge sorted
-  // insertion. Mutual arcs make the relation symmetric by construction.
-  std::vector<std::vector<node_id>> adj(num_nodes_);
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    for (node_id v : out_neighbors(u)) {
-      if (has_arc(v, u)) adj[u].push_back(v);
-    }
-  }
-  return undirected_graph::from_adjacency(std::move(adj));
-}
-
 undirected_graph digraph::symmetric_closure(util::thread_pool& pool) const {
   const std::size_t n = num_nodes_;
   if (n == 0) return undirected_graph(0);

@@ -17,10 +17,7 @@
 
 #include "graph/graph.h"
 #include "graph/types.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -46,18 +43,17 @@ class digraph {
   [[nodiscard]] std::size_t out_degree(node_id u) const { return out_neighbors(u).size(); }
 
   /// Symmetric closure: undirected edge {u,v} iff u->v or v->u.
-  [[nodiscard]] undirected_graph symmetric_closure() const;
+  /// Built as flat CSR adjacency: the in-neighbor scatter is a
+  /// two-pass count/fill with prefix-sum offsets, per-node merges run
+  /// in parallel slots, and the result is adopted wholesale. Identical
+  /// output for any pool width.
+  [[nodiscard]] undirected_graph symmetric_closure(
+      util::thread_pool& pool = util::serial_pool()) const;
 
-  /// Symmetric core: undirected edge {u,v} iff u->v and v->u.
-  [[nodiscard]] undirected_graph symmetric_core() const;
-
-  /// Parallel variants producing flat CSR adjacency directly: the
-  /// in-neighbor scatter is a two-pass count/fill with prefix-sum
-  /// offsets (no serial O(E) pass), per-node merges run in parallel
-  /// slots, and the result is adopted wholesale. Identical output for
-  /// any pool width.
-  [[nodiscard]] undirected_graph symmetric_closure(util::thread_pool& pool) const;
-  [[nodiscard]] undirected_graph symmetric_core(util::thread_pool& pool) const;
+  /// Symmetric core: undirected edge {u,v} iff u->v and v->u (flat
+  /// CSR, identical output for any pool width).
+  [[nodiscard]] undirected_graph symmetric_core(
+      util::thread_pool& pool = util::serial_pool()) const;
 
   /// Logical equality regardless of representation.
   friend bool operator==(const digraph& a, const digraph& b);

@@ -9,12 +9,11 @@ namespace cbtc::graph {
 
 namespace {
 
-/// Shared body of the pooled overloads: per-node candidate count via
-/// the grid, exclusive prefix sum, per-node fill + sort into one flat
-/// CSR array. `accept(u, v)` is the per-candidate membership test.
-template <class Accept>
+/// Isotropic G_R (membership by distance alone): per-node candidate
+/// count via the grid, exclusive prefix sum, per-node fill + sort into
+/// one flat CSR array.
 undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, double reach,
-                                     util::thread_pool& pool, const Accept& accept) {
+                                     util::thread_pool& pool) {
   const std::size_t n = positions.size();
   if (n == 0 || reach <= 0.0) return undirected_graph(n);
   const geom::spatial_grid grid(positions, reach);
@@ -24,11 +23,7 @@ undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, doub
     for (std::size_t u = lo; u < hi; ++u) {
       hits.clear();
       grid.query_radius_into(positions[u], reach, static_cast<geom::point_index>(u), hits);
-      std::size_t count = 0;
-      for (const geom::point_index v : hits) {
-        if (accept(static_cast<node_id>(u), static_cast<node_id>(v))) ++count;
-      }
-      deg[u] = count;
+      deg[u] = hits.size();
     }
   });
   std::vector<std::size_t> off(n + 1, 0);
@@ -39,12 +34,7 @@ undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, doub
     for (std::size_t u = lo; u < hi; ++u) {
       hits.clear();
       grid.query_radius_into(positions[u], reach, static_cast<geom::point_index>(u), hits);
-      std::size_t w = off[u];
-      for (const geom::point_index v : hits) {
-        if (accept(static_cast<node_id>(u), static_cast<node_id>(v))) {
-          flat[w++] = static_cast<node_id>(v);
-        }
-      }
+      std::copy(hits.begin(), hits.end(), flat.begin() + static_cast<std::ptrdiff_t>(off[u]));
       std::sort(flat.begin() + static_cast<std::ptrdiff_t>(off[u]),
                 flat.begin() + static_cast<std::ptrdiff_t>(off[u + 1]));
     }
@@ -60,7 +50,7 @@ undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, doub
 /// Scatter order is schedule-dependent but the per-segment sort
 /// restores the unique sorted order, and down-neighbors (< u) precede
 /// up-neighbors (> u), so the result is identical for any pool width
-/// — and edge-identical to the serial overloads.
+/// — and edge-identical to build_max_power_graph_brute.
 template <class Accept>
 undirected_graph build_csr_max_power_once(std::span<const geom::vec2> positions, double reach,
                                           util::thread_pool& pool, const Accept& accept) {
@@ -111,48 +101,11 @@ undirected_graph build_csr_max_power_once(std::span<const geom::vec2> positions,
 
 }  // namespace
 
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, double max_range) {
-  undirected_graph g(positions.size());
-  if (positions.empty() || max_range <= 0.0) return g;
-  const geom::spatial_grid grid(positions, max_range);
-  std::vector<geom::point_index> hits;
-  for (node_id u = 0; u < positions.size(); ++u) {
-    hits.clear();
-    grid.query_radius_into(positions[u], max_range, u, hits);
-    for (geom::point_index v : hits) {
-      if (u < v) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                       const radio::link_model& link) {
-  if (link.is_isotropic()) return build_max_power_graph(positions, link.max_range());
-  undirected_graph g(positions.size());
-  const double reach = link.max_candidate_range();
-  if (positions.empty() || reach <= 0.0) return g;
-  const geom::spatial_grid grid(positions, reach);
-  const double max_power = link.max_power();
-  std::vector<geom::point_index> hits;
-  for (node_id u = 0; u < positions.size(); ++u) {
-    hits.clear();
-    grid.query_radius_into(positions[u], reach, u, hits);
-    for (geom::point_index v : hits) {
-      if (u < v && link.reaches(max_power, u, v, positions[u], positions[v])) g.add_edge(u, v);
-    }
-  }
-  return g;
-}
-
-undirected_graph build_max_power_graph(std::span<const geom::vec2> positions, double max_range,
-                                       util::thread_pool& pool) {
-  return build_csr_max_power(positions, max_range, pool, [](node_id, node_id) { return true; });
-}
-
 undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
                                        const radio::link_model& link, util::thread_pool& pool) {
-  if (link.is_isotropic()) return build_max_power_graph(positions, link.max_range(), pool);
+  // Each CSR builder wins on its side: the distance test is cheap
+  // enough to run from both endpoints, a per-link gain is not.
+  if (link.is_isotropic()) return build_csr_max_power(positions, link.max_range(), pool);
   const double max_power = link.max_power();
   return build_csr_max_power_once(positions, link.max_candidate_range(), pool,
                                   [&](node_id u, node_id v) {

@@ -4,9 +4,10 @@
 // every node transmits at maximum power (Section 1 of the paper). It is
 // the connectivity baseline every topology-control output is compared
 // against. Under a non-uniform propagation model the membership test
-// generalizes to "the link closes at maximum power"; the link-model
-// overloads below prune by the maximum feasible link length, then
-// filter per link.
+// generalizes to "the link closes at maximum power": the construction
+// prunes by the maximum feasible link length, then filters per link.
+// An isotropic link (any radio::power_model converts to one) is the
+// plain distance test.
 #pragma once
 
 #include <span>
@@ -17,33 +18,18 @@
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "radio/propagation.h"
-
-namespace cbtc::util {
-class thread_pool;
-}
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
-/// Builds G_R with a spatial grid (O(n * k) for bounded density).
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     double max_range);
-
-/// Gain-aware G_R: edge {u, v} iff the link closes at maximum power
-/// under `link`. Delegates to the distance test when the propagation
-/// is isotropic (bitwise-identical edge set).
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     const radio::link_model& link);
-
-/// Parallel variants producing flat CSR adjacency directly: per-node
-/// count pass, exclusive prefix sum, parallel fill — zero per-edge
-/// sorted insertion. Expensive membership tests (per-link gains) are
-/// evaluated once per unordered pair. Edge set identical to the serial
-/// overloads for any pool width.
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     double max_range, util::thread_pool& pool);
-[[nodiscard]] undirected_graph build_max_power_graph(std::span<const geom::vec2> positions,
-                                                     const radio::link_model& link,
-                                                     util::thread_pool& pool);
+/// Builds G_R as flat CSR adjacency: per-node candidate count via a
+/// spatial grid (O(n * k) for bounded density), exclusive prefix sum,
+/// parallel fill — zero per-edge sorted insertion. Under per-link
+/// gains each unordered pair's (expensive) membership test runs exactly
+/// once. Edge set identical for any pool width.
+[[nodiscard]] undirected_graph build_max_power_graph(
+    std::span<const geom::vec2> positions, const radio::link_model& link,
+    util::thread_pool& pool = util::serial_pool());
 
 /// Reference O(n^2) construction, used to cross-check the grid path.
 [[nodiscard]] undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,

@@ -13,6 +13,11 @@ unsigned resolve_threads(unsigned requested) {
   return hw == 0 ? 1 : hw;
 }
 
+thread_pool& serial_pool() {
+  static thread_pool pool(1);
+  return pool;
+}
+
 void thread_pool::parallel_for_chunks(std::size_t n, std::size_t chunk,
                                       const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;

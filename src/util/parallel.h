@@ -22,7 +22,9 @@
 // pool; the executor composes the two by task submission instead of
 // spawning width x width threads), and a pool with num_threads == 1
 // runs everything inline on the calling thread, so `intra_threads = 1`
-// (the default) is exactly the old serial code path.
+// (the default) is exactly the serial code path. Every pipeline pass
+// therefore has one implementation taking a pool, defaulted to
+// serial_pool().
 #pragma once
 
 #include <cstddef>
@@ -75,17 +77,28 @@ class thread_pool {
   [[nodiscard]] T reduce(std::size_t n, T init, const PerBlock& per_block, const Merge& merge) {
     if (n == 0) return init;
     const std::size_t blocks = (n + reduce_block - 1) / reduce_block;
-    std::vector<T> partials(blocks, init);
+    // One struct per slot: a bare std::vector<bool> would pack
+    // neighbouring blocks' partials into one word, and concurrent
+    // writes to it would race.
+    struct slot {
+      T value;
+    };
+    std::vector<slot> partials(blocks, slot{init});
     parallel_for_chunks(n, reduce_block, [&](std::size_t lo, std::size_t hi) {
-      partials[lo / reduce_block] = per_block(lo, hi);
+      partials[lo / reduce_block].value = per_block(lo, hi);
     });
     T total = std::move(init);
-    for (const T& p : partials) merge(total, p);
+    for (const slot& p : partials) merge(total, p.value);
     return total;
   }
 
  private:
   unsigned width_;
 };
+
+/// The process-wide width-1 pool: the default argument of every pass
+/// that takes a pool. A pool holds nothing but its width, so sharing
+/// one instance across threads is race-free.
+[[nodiscard]] thread_pool& serial_pool();
 
 }  // namespace cbtc::util

@@ -79,7 +79,7 @@ TEST(Augment, OutputIsSubgraphOfGrAndSuperset) {
   const auto base = build_topology(pts, pm, params, optimization_set::all()).topology;
   const augment_result res = augment_bridge_resilience(base, pts, pm.max_range());
 
-  const auto gr = graph::build_max_power_graph(pts, pm.max_range());
+  const auto gr = graph::build_max_power_graph(pts, pm);
   for (const graph::edge& e : res.topology.edges()) {
     EXPECT_TRUE(gr.has_edge(e.u, e.v));
   }
@@ -95,7 +95,7 @@ TEST(Augment, EveryRemainingBridgeIsUnavoidable) {
     cbtc_params params;
     const auto base = build_topology(pts, pm, params, optimization_set::all()).topology;
     const augment_result res = augment_bridge_resilience(base, pts, pm.max_range());
-    const auto gr = graph::build_max_power_graph(pts, pm.max_range());
+    const auto gr = graph::build_max_power_graph(pts, pm);
 
     for (const graph::edge& b : graph::bridges(res.topology)) {
       // Removing the bridge must split G_R's corresponding region too:

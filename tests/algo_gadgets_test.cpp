@@ -63,7 +63,7 @@ TEST(Example21, SymmetricClosureRestoresTheEdge) {
 
   const auto closure = r.symmetric_closure();
   EXPECT_TRUE(closure.has_edge(g.u0, g.v));
-  const auto gr = graph::build_max_power_graph(g.positions, g.max_range);
+  const auto gr = graph::build_max_power_graph(g.positions, pm);
   EXPECT_TRUE(graph::same_connectivity(closure, gr));
 
   // The symmetric core drops the (u0,v) edge — for alpha > 2*pi/3 that
@@ -114,7 +114,8 @@ TEST(Figure5, RejectsBadEps) {
 
 TEST(Figure5, GRIsConnected) {
   const auto g = gadgets::make_figure5(0.05);
-  const auto gr = graph::build_max_power_graph(g.positions, g.max_range);
+  const radio::power_model pm(2.0, g.max_range);
+  const auto gr = graph::build_max_power_graph(g.positions, pm);
   EXPECT_TRUE(graph::is_connected(gr));
   // And (u0, v0) is the *only* inter-cluster edge.
   EXPECT_TRUE(gr.has_edge(g.u0, g.v0));
@@ -142,7 +143,7 @@ TEST(Figure5, CbtcDisconnectsAboveThreshold) {
 
     const auto closure = r.symmetric_closure();
     EXPECT_FALSE(closure.has_edge(g.u0, g.v0));
-    const auto gr = graph::build_max_power_graph(g.positions, g.max_range);
+    const auto gr = graph::build_max_power_graph(g.positions, pm);
     EXPECT_FALSE(graph::same_connectivity(closure, gr)) << "eps=" << eps;
     EXPECT_FALSE(graph::reachable(closure, g.u0, g.v0)) << "eps=" << eps;
   }
@@ -157,7 +158,7 @@ TEST(Figure5, SameLayoutConnectedAtFivePiSix) {
   const radio::power_model pm(2.0, g.max_range);
   const cbtc_result r = run_cbtc(g.positions, pm, continuous_params(alpha_five_pi_six));
   const auto closure = r.symmetric_closure();
-  const auto gr = graph::build_max_power_graph(g.positions, g.max_range);
+  const auto gr = graph::build_max_power_graph(g.positions, pm);
   EXPECT_TRUE(graph::same_connectivity(closure, gr));
   EXPECT_TRUE(graph::reachable(closure, g.u0, g.v0));
 }

@@ -142,11 +142,14 @@ TEST(GainRemoval, BitwiseDeterministicAcrossPoolWidths) {
     const std::vector<vec2> positions = field(110, seed);
     for (const auto& [name, link] : all_links(seed)) {
       const graph::undirected_graph g = grown_topology(positions, link);
-      util::thread_pool one(1);
-      const gain_removal_result ref = apply_gain_aware_removal(g, positions, link, {}, one);
-      for (const unsigned width : {3u, 8u}) {
+      // Default (serial) pool, candidate graph built internally; every
+      // width must reproduce it from the brute-force candidate oracle.
+      const gain_removal_result ref = apply_gain_aware_removal(g, positions, link);
+      const graph::undirected_graph brute = graph::build_max_power_graph_brute(positions, link);
+      for (const unsigned width : {1u, 3u, 4u}) {
         util::thread_pool pool(width);
-        const gain_removal_result got = apply_gain_aware_removal(g, positions, link, {}, pool);
+        const gain_removal_result got =
+            apply_gain_aware_removal(g, brute, positions, link, {}, pool);
         EXPECT_TRUE(got.topology == ref.topology) << name << " width " << width;
         EXPECT_EQ(got.redundant_edges, ref.redundant_edges) << name << " width " << width;
         EXPECT_EQ(got.removed_edges, ref.removed_edges) << name << " width " << width;
@@ -189,7 +192,8 @@ TEST(GainRemoval, CoincidentNodesNeverDropZeroPowerEdges) {
   g.add_edge(2, 3);
   const gain_removal_result res = apply_gain_aware_removal(g, pts, link, {.remove_all = true});
   EXPECT_TRUE(res.topology.has_edge(0, 1));
-  const invariant_report inv = check_invariants(res.topology, pts, pm.max_range(), 1);
+  const invariant_report inv =
+      check_invariants(res.topology, pts, pm, graph::build_max_power_graph(pts, pm));
   EXPECT_TRUE(inv.connectivity_preserved);
 }
 

@@ -181,7 +181,7 @@ TEST(Oracle, SmallerAlphaNeedsMorePower) {
 
 TEST(Oracle, SymmetricClosurePreservesConnectivityOnPaperWorkload) {
   const std::vector<vec2> pts = geom::uniform_points(100, geom::bbox::rect(1500, 1500), 23);
-  const graph::undirected_graph gr = graph::build_max_power_graph(pts, pm.max_range());
+  const graph::undirected_graph gr = graph::build_max_power_graph(pts, pm);
   for (growth_mode mode : {growth_mode::discrete, growth_mode::continuous}) {
     cbtc_params p;
     p.mode = mode;

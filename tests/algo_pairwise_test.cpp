@@ -10,6 +10,7 @@
 #include "graph/metrics.h"
 #include "graph/traversal.h"
 #include "radio/power_model.h"
+#include "util/parallel.h"
 
 namespace cbtc::algo {
 namespace {
@@ -110,7 +111,7 @@ instance make_instance(std::uint64_t seed, double alpha = alpha_five_pi_six) {
   cbtc_params p;
   p.alpha = alpha;
   in.e_alpha = apply_shrink_back(run_cbtc(in.positions, pm, p)).symmetric_closure();
-  in.gr = graph::build_max_power_graph(in.positions, pm.max_range());
+  in.gr = graph::build_max_power_graph(in.positions, pm);
   return in;
 }
 
@@ -123,6 +124,15 @@ TEST(PairwiseRemoval, RemoveAllPreservesConnectivity) {
     EXPECT_TRUE(graph::same_connectivity(pr.topology, in.gr)) << "seed " << seed;
     EXPECT_EQ(pr.removed_edges, pr.redundant_edges);
     EXPECT_EQ(pr.topology.num_edges() + pr.removed_edges, in.e_alpha.num_edges());
+    // G_R from the brute-force oracle, and the same removal at every
+    // pool width: identical output.
+    EXPECT_TRUE(in.gr == graph::build_max_power_graph_brute(in.positions, pm.max_range()));
+    for (const unsigned width : {1u, 3u, 4u}) {
+      util::thread_pool pool(width);
+      const pairwise_result wide = apply_pairwise_removal(in.e_alpha, in.positions, opts, pool);
+      EXPECT_TRUE(wide.topology == pr.topology) << "seed " << seed << ", width " << width;
+      EXPECT_EQ(wide.redundant_edges, pr.redundant_edges) << "seed " << seed;
+    }
   }
 }
 
@@ -216,7 +226,7 @@ TEST(PairwiseRemoval, WorksOnSymmetricCoreToo) {
     cbtc_params p;
     p.alpha = alpha_two_pi_three;
     const auto core = apply_shrink_back(run_cbtc(positions, pm, p)).symmetric_core();
-    const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+    const auto gr = graph::build_max_power_graph(positions, pm);
     const auto pr = apply_pairwise_removal(core, positions);
     EXPECT_TRUE(graph::same_connectivity(pr.topology, gr)) << "seed " << seed;
   }

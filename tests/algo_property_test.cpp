@@ -53,7 +53,7 @@ class ConnectivitySweep : public ::testing::TestWithParam<sweep_case> {
   void SetUp() override {
     const sweep_case& c = GetParam();
     positions_ = geom::uniform_points(c.nodes, geom::bbox::rect(c.region, c.region), c.seed);
-    gr_ = graph::build_max_power_graph(positions_, pm_.max_range());
+    gr_ = graph::build_max_power_graph(positions_, pm_);
     params_.alpha = c.alpha;
     params_.mode = c.mode;
   }
@@ -69,7 +69,7 @@ TEST_P(ConnectivitySweep, Theorem21_SymmetricClosurePreservesConnectivity) {
   const auto g_alpha = r.symmetric_closure();
   EXPECT_TRUE(graph::same_connectivity(g_alpha, gr_)) << GetParam();
   // G_alpha is a subgraph of G_R with per-node radius <= R.
-  const invariant_report rep = check_invariants(g_alpha, positions_, pm_.max_range());
+  const invariant_report rep = check_invariants(g_alpha, positions_, pm_, gr_);
   EXPECT_TRUE(rep.ok()) << GetParam() << (rep.violations.empty() ? "" : ": " + rep.violations[0]);
 }
 
@@ -105,7 +105,7 @@ TEST_P(ConnectivitySweep, Theorem36_PairwiseRemovalPreservesConnectivity) {
 
 TEST_P(ConnectivitySweep, FullPipelinePreservesConnectivityAndInvariants) {
   const topology_result t = build_topology(positions_, pm_, params_, optimization_set::all());
-  const invariant_report rep = check_invariants(t.topology, positions_, pm_.max_range());
+  const invariant_report rep = check_invariants(t.topology, positions_, pm_, gr_);
   EXPECT_TRUE(rep.ok()) << GetParam() << (rep.violations.empty() ? "" : ": " + rep.violations[0]);
   EXPECT_EQ(t.asymmetric_applied, asymmetric_removal_applicable(GetParam().alpha));
 }
@@ -159,7 +159,7 @@ TEST_P(ClusteredSweep, FullPipelineOnClusteredPlacements) {
   const radio::power_model pm(2.0, 500.0);
   const auto positions =
       geom::clustered_points(120, 6, 180.0, geom::bbox::rect(2000.0, 2000.0), GetParam());
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   for (double alpha : {a56, a23}) {
     cbtc_params params;
     params.alpha = alpha;
@@ -176,7 +176,7 @@ class ExponentSweep : public ::testing::TestWithParam<double> {};
 TEST_P(ExponentSweep, ConnectivityHoldsForAnyPathLossExponent) {
   const radio::power_model pm(GetParam(), 500.0);
   const auto positions = geom::uniform_points(100, geom::bbox::rect(1500.0, 1500.0), 314);
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   const topology_result t = build_topology(positions, pm, {}, optimization_set::all());
   EXPECT_TRUE(graph::same_connectivity(t.topology, gr));
 }
@@ -188,7 +188,7 @@ TEST(ConnectivityEdgeCases, CollinearNodes) {
   const radio::power_model pm(2.0, 500.0);
   std::vector<vec2> line;
   for (int i = 0; i < 20; ++i) line.push_back({i * 300.0, 0.0});
-  const auto gr = graph::build_max_power_graph(line, pm.max_range());
+  const auto gr = graph::build_max_power_graph(line, pm);
   const topology_result t = build_topology(line, pm, {}, optimization_set::all());
   EXPECT_TRUE(graph::same_connectivity(t.topology, gr));
   EXPECT_TRUE(graph::is_connected(t.topology));  // 300 < 500: a chain
@@ -197,7 +197,7 @@ TEST(ConnectivityEdgeCases, CollinearNodes) {
 TEST(ConnectivityEdgeCases, CoincidentNodes) {
   const radio::power_model pm(2.0, 500.0);
   const std::vector<vec2> pts{{0, 0}, {0, 0}, {100, 0}, {100, 0}};
-  const auto gr = graph::build_max_power_graph(pts, pm.max_range());
+  const auto gr = graph::build_max_power_graph(pts, pm);
   const topology_result t = build_topology(pts, pm, {}, optimization_set::all());
   EXPECT_TRUE(graph::same_connectivity(t.topology, gr));
 }
@@ -205,7 +205,7 @@ TEST(ConnectivityEdgeCases, CoincidentNodes) {
 TEST(ConnectivityEdgeCases, RegularGridPlacement) {
   const radio::power_model pm(2.0, 500.0);
   const auto pts = geom::jittered_grid_points(100, 0.0, geom::bbox::rect(1500, 1500), 1);
-  const auto gr = graph::build_max_power_graph(pts, pm.max_range());
+  const auto gr = graph::build_max_power_graph(pts, pm);
   for (double alpha : {a56, a23}) {
     cbtc_params params;
     params.alpha = alpha;
@@ -219,7 +219,7 @@ TEST(ConnectivityEdgeCases, RegularGridPlacement) {
 TEST(ConnectivityEdgeCases, ThresholdTightnessViaGadget) {
   const auto g = gadgets::make_figure5(0.05);
   const radio::power_model pm(2.0, g.max_range);
-  const auto gr = graph::build_max_power_graph(g.positions, g.max_range);
+  const auto gr = graph::build_max_power_graph(g.positions, pm);
 
   cbtc_params above;
   above.alpha = g.alpha;

@@ -105,7 +105,7 @@ TEST(ShrinkBack, GsAlphaPreservesConnectivity) {
     for (growth_mode mode : {growth_mode::discrete, growth_mode::continuous}) {
       const cbtc_result shrunk = apply_shrink_back(paper_instance(seed, mode));
       const auto positions = geom::uniform_points(100, geom::bbox::rect(1500, 1500), seed);
-      const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+      const auto gr = graph::build_max_power_graph(positions, pm);
       EXPECT_TRUE(graph::same_connectivity(shrunk.symmetric_closure(), gr))
           << "seed " << seed << " mode " << static_cast<int>(mode);
     }

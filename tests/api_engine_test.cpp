@@ -99,7 +99,8 @@ TEST(ApiEngine, BaselinesMatchDirectCalls) {
   EXPECT_EQ(eng.run(spec).topology, baselines::knn_graph(positions, R, 3));
 
   spec.method = method_spec::of_baseline(baseline_kind::max_power);
-  EXPECT_EQ(eng.run(spec).topology, graph::build_max_power_graph(positions, R));
+  EXPECT_EQ(eng.run(spec).topology,
+            graph::build_max_power_graph(positions, radio::power_model(2.0, R)));
 }
 
 TEST(ApiEngine, MaxPowerBaselineUsesNominalRadius) {

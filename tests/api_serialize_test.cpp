@@ -8,6 +8,7 @@
 #include <string>
 
 #include "api/api.h"
+#include "api/json.h"
 
 namespace cbtc::api {
 namespace {
@@ -231,6 +232,15 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   // network than the file describes.
   EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),
                std::invalid_argument);
+  // Hostile nesting is a typed error, not a stack overflow; the depth
+  // cap itself sits exactly at json::max_nesting_depth.
+  EXPECT_THROW(parse_scenario_json(std::string(100000, '[')), std::invalid_argument);
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": )" + std::string(100000, '{')),
+               std::invalid_argument);
+  const std::string at_cap =
+      std::string(json::max_nesting_depth, '[') + std::string(json::max_nesting_depth, ']');
+  EXPECT_NO_THROW((void)json::parse_document(at_cap));
+  EXPECT_THROW((void)json::parse_document("[" + at_cap + "]"), std::invalid_argument);
   // Exact integers in scientific notation are still fine.
   const scenario_file sci =
       parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1e2}}})");

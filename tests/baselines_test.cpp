@@ -14,6 +14,7 @@ using geom::vec2;
 using graph::node_id;
 
 constexpr double R = 500.0;
+const radio::power_model pm(2.0, R);
 
 std::vector<vec2> paper_positions(std::uint64_t seed) {
   return geom::uniform_points(100, geom::bbox::rect(1500, 1500), seed);
@@ -23,7 +24,7 @@ std::vector<vec2> paper_positions(std::uint64_t seed) {
 
 TEST(Mst, TreeEdgeCountAndConnectivity) {
   const auto pts = paper_positions(1);
-  const auto gr = graph::build_max_power_graph(pts, R);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   const auto mst = euclidean_mst(pts, R);
   const auto comps = graph::connected_components(gr);
   EXPECT_EQ(mst.num_edges(), pts.size() - comps.count);
@@ -32,7 +33,7 @@ TEST(Mst, TreeEdgeCountAndConnectivity) {
 
 TEST(Mst, SubgraphOfGr) {
   const auto pts = paper_positions(2);
-  const auto gr = graph::build_max_power_graph(pts, R);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   for (const graph::edge& e : euclidean_mst(pts, R).edges()) {
     EXPECT_TRUE(gr.has_edge(e.u, e.v));
   }
@@ -77,7 +78,7 @@ TEST(Rng, SupersetOfMstSubsetOfGabriel) {
 TEST(Rng, PreservesConnectivity) {
   for (std::uint64_t seed : {5u, 6u, 7u}) {
     const auto pts = paper_positions(seed);
-    const auto gr = graph::build_max_power_graph(pts, R);
+    const auto gr = graph::build_max_power_graph(pts, pm);
     EXPECT_TRUE(graph::same_connectivity(relative_neighborhood_graph(pts, R), gr));
   }
 }
@@ -96,7 +97,7 @@ TEST(Rng, BlocksLuneWitness) {
 TEST(Gabriel, PreservesConnectivity) {
   for (std::uint64_t seed : {8u, 9u}) {
     const auto pts = paper_positions(seed);
-    const auto gr = graph::build_max_power_graph(pts, R);
+    const auto gr = graph::build_max_power_graph(pts, pm);
     EXPECT_TRUE(graph::same_connectivity(gabriel_graph(pts, R), gr));
   }
 }
@@ -115,7 +116,7 @@ TEST(Gabriel, DiameterCircleWitness) {
 TEST(Yao, PreservesConnectivityWithSixCones) {
   for (std::uint64_t seed : {10u, 11u}) {
     const auto pts = paper_positions(seed);
-    const auto gr = graph::build_max_power_graph(pts, R);
+    const auto gr = graph::build_max_power_graph(pts, pm);
     EXPECT_TRUE(graph::same_connectivity(yao_graph(pts, R, 6), gr));
   }
 }
@@ -131,7 +132,7 @@ TEST(Yao, KeepsNearestPerCone) {
 
 TEST(Yao, SparserThanGr) {
   const auto pts = paper_positions(12);
-  const auto gr = graph::build_max_power_graph(pts, R);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   const auto yao = yao_graph(pts, R, 8);
   EXPECT_LT(yao.num_edges(), gr.num_edges());
   EXPECT_LE(graph::average_degree(yao), graph::average_degree(gr));
@@ -151,7 +152,7 @@ TEST(Knn, DegreeBounds) {
   // Out-degree <= 3 before closure; closure can raise a node's degree
   // but every node has at least min(3, reachable) incident edges.
   for (node_id u = 0; u < pts.size(); ++u) {
-    const auto gr_deg = graph::build_max_power_graph(pts, R).degree(u);
+    const auto gr_deg = graph::build_max_power_graph(pts, pm).degree(u);
     EXPECT_GE(knn.degree(u), std::min<std::size_t>(3, gr_deg));
   }
 }
@@ -160,7 +161,7 @@ TEST(Knn, CanDisconnect) {
   // Two tight pairs far apart (but within R): 1-NN links only pair
   // members, losing the long bridge — the classic kNN failure.
   const std::vector<vec2> pts{{0, 0}, {10, 0}, {400, 0}, {410, 0}};
-  const auto gr = graph::build_max_power_graph(pts, 500.0);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   EXPECT_TRUE(graph::is_connected(gr));
   const auto knn = knn_graph(pts, 500.0, 1);
   EXPECT_FALSE(graph::is_connected(knn));
@@ -179,7 +180,7 @@ TEST(Baselines, SparsityOrdering) {
   const auto mst = euclidean_mst(pts, R);
   const auto rng = relative_neighborhood_graph(pts, R);
   const auto gg = gabriel_graph(pts, R);
-  const auto gr = graph::build_max_power_graph(pts, R);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   EXPECT_LE(mst.num_edges(), rng.num_edges());
   EXPECT_LE(rng.num_edges(), gg.num_edges());
   EXPECT_LE(gg.num_edges(), gr.num_edges());
@@ -187,7 +188,7 @@ TEST(Baselines, SparsityOrdering) {
 
 TEST(Baselines, AllSubgraphsOfGr) {
   const auto pts = paper_positions(16);
-  const auto gr = graph::build_max_power_graph(pts, R);
+  const auto gr = graph::build_max_power_graph(pts, pm);
   for (const auto& g : {euclidean_mst(pts, R), relative_neighborhood_graph(pts, R),
                         gabriel_graph(pts, R), yao_graph(pts, R, 6), knn_graph(pts, R, 3)}) {
     for (const graph::edge& e : g.edges()) {

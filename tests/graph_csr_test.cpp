@@ -117,22 +117,32 @@ TEST(CsrGraph, FromCsrEmptyAndIsolatedNodes) {
   EXPECT_FALSE(g.has_edge(0, 1));
 }
 
-TEST(CsrDigraph, ClosureAndCoreIdenticalSerialVsPool) {
+/// Test-local O(n^2) reference for the closure (`both` false: u->v or
+/// v->u) and the core (`both` true: u->v and v->u), straight from the
+/// definitions over has_arc.
+undirected_graph reference_symmetrization(const digraph& d, bool both) {
+  undirected_graph g(d.num_nodes());
+  for (node_id u = 0; u < d.num_nodes(); ++u) {
+    for (node_id v = u + 1; v < d.num_nodes(); ++v) {
+      const bool uv = d.has_arc(u, v);
+      const bool vu = d.has_arc(v, u);
+      if (both ? uv && vu : uv || vu) g.add_edge(u, v);
+    }
+  }
+  return g;
+}
+
+TEST(CsrDigraph, ClosureAndCoreMatchDefinitionAtAnyWidth) {
   std::mt19937_64 rng(20010601);
-  util::thread_pool pool(4);
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 80);
     const digraph d = random_digraph(n, 0.1, rng);
-    const undirected_graph closure = d.symmetric_closure();
-    const undirected_graph core = d.symmetric_core();
-    expect_identical(closure, d.symmetric_closure(pool));
-    expect_identical(core, d.symmetric_core(pool));
-    // Reference semantics: closure = or, core = and.
-    for (node_id u = 0; u < n; ++u) {
-      for (node_id v = u + 1; v < n; ++v) {
-        EXPECT_EQ(closure.has_edge(u, v), d.has_arc(u, v) || d.has_arc(v, u));
-        EXPECT_EQ(core.has_edge(u, v), d.has_arc(u, v) && d.has_arc(v, u));
-      }
+    const undirected_graph closure = reference_symmetrization(d, false);
+    const undirected_graph core = reference_symmetrization(d, true);
+    for (const unsigned width : {1u, 3u, 4u}) {
+      util::thread_pool pool(width);
+      expect_identical(closure, d.symmetric_closure(pool));
+      expect_identical(core, d.symmetric_core(pool));
     }
   }
 }
@@ -161,38 +171,44 @@ TEST(CsrDigraph, FlattenedDigraphMatchesAndMutates) {
 
 TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
   std::mt19937_64 rng(424242);
-  util::thread_pool four(4);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 60 + rng() % 60;
     const std::vector<geom::vec2> pos = random_positions(n, 900.0, rng);
-    const undirected_graph g = build_max_power_graph(pos, 320.0);
+    const undirected_graph g = build_max_power_graph_brute(pos, 320.0);
     const algo::pairwise_options opts{.remove_all = trial % 2 == 0};
-    const algo::pairwise_result serial = algo::apply_pairwise_removal(g, pos, opts);
-    const algo::pairwise_result wide = algo::apply_pairwise_removal(g, pos, opts, four);
-    const algo::pairwise_result flat_in = algo::apply_pairwise_removal(g.flattened(), pos, opts, four);
-    EXPECT_EQ(serial.redundant_edges, wide.redundant_edges);
-    EXPECT_EQ(serial.removed_edges, wide.removed_edges);
-    expect_identical(serial.topology, wide.topology);
-    expect_identical(serial.topology, flat_in.topology);
+    // Oracle: Definition 3.5 applied edge by edge.
+    std::size_t redundant = 0;
+    for (const edge& e : g.edges()) redundant += algo::is_redundant_edge(g, pos, e.u, e.v) ? 1 : 0;
+    const algo::pairwise_result ref = algo::apply_pairwise_removal(g, pos, opts);
+    EXPECT_EQ(ref.redundant_edges, redundant);
+    for (const unsigned width : {1u, 3u, 4u}) {
+      util::thread_pool pool(width);
+      const algo::pairwise_result wide = algo::apply_pairwise_removal(g, pos, opts, pool);
+      const algo::pairwise_result flat_in =
+          algo::apply_pairwise_removal(g.flattened(), pos, opts, pool);
+      EXPECT_EQ(ref.redundant_edges, wide.redundant_edges) << "width " << width;
+      EXPECT_EQ(ref.removed_edges, wide.removed_edges) << "width " << width;
+      expect_identical(ref.topology, wide.topology);
+      expect_identical(ref.topology, flat_in.topology);
+    }
   }
 }
 
-TEST(CsrGraph, PooledMaxPowerGraphMatchesSerial) {
+TEST(CsrGraph, MaxPowerGraphMatchesBruteAtAnyWidth) {
   std::mt19937_64 rng(5150);
-  util::thread_pool four(4);
-  util::thread_pool one(1);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 50 + rng() % 150;
     const std::vector<geom::vec2> pos = random_positions(n, 1200.0, rng);
-    expect_identical(build_max_power_graph(pos, 400.0),
-                     build_max_power_graph(pos, 400.0, four));
-    expect_identical(build_max_power_graph(pos, 400.0),
-                     build_max_power_graph(pos, 400.0, one));
+    const radio::power_model pm(2.0, 400.0);
     const radio::link_model shadowed(
-        radio::power_model(2.0, 400.0),
-        radio::propagation_model::lognormal_shadowing(4.0, 8.0, 77 + trial));
-    expect_identical(build_max_power_graph(pos, shadowed),
-                     build_max_power_graph(pos, shadowed, four));
+        pm, radio::propagation_model::lognormal_shadowing(4.0, 8.0, 77 + trial));
+    const undirected_graph brute = build_max_power_graph_brute(pos, 400.0);
+    const undirected_graph brute_shadowed = build_max_power_graph_brute(pos, shadowed);
+    for (const unsigned width : {1u, 3u, 4u}) {
+      util::thread_pool pool(width);
+      expect_identical(brute, build_max_power_graph(pos, pm, pool));
+      expect_identical(brute_shadowed, build_max_power_graph(pos, shadowed, pool));
+    }
   }
 }
 

@@ -74,7 +74,7 @@ TEST(TopologyInterference, TopologyControlReducesInterference) {
   // The paper's Section 1 motivation, measured: the max-power graph
   // interferes far more than the MST on the same nodes.
   const auto pts = geom::uniform_points(100, geom::bbox::rect(1500, 1500), 7);
-  const auto gr = build_max_power_graph(pts, 500.0);
+  const auto gr = build_max_power_graph(pts, radio::power_model(2.0, 500.0));
   const auto mst = baselines::euclidean_mst(pts, 500.0);
   const auto i_gr = topology_interference(gr, pts);
   const auto i_mst = topology_interference(mst, pts);
@@ -84,7 +84,7 @@ TEST(TopologyInterference, TopologyControlReducesInterference) {
 
 TEST(TopologyInterference, MatchesPerEdgeComputation) {
   const auto pts = geom::uniform_points(40, geom::bbox::rect(800, 800), 11);
-  const auto gr = build_max_power_graph(pts, 300.0);
+  const auto gr = build_max_power_graph(pts, radio::power_model(2.0, 300.0));
   const auto stats = topology_interference(gr, pts);
   double total = 0.0;
   std::size_t max_cov = 0;

@@ -26,7 +26,7 @@ std::vector<geom::vec2> deployment(std::size_t n, std::uint64_t seed) {
 
 undirected_graph reference_graph(const std::vector<geom::vec2>& positions,
                                  const std::vector<bool>& up) {
-  return build_max_power_graph(positions, kRange).induced(up);
+  return build_max_power_graph(positions, radio::power_model(2.0, kRange)).induced(up);
 }
 
 bool reference_field_connected(const undirected_graph& gr, const std::vector<bool>& up) {

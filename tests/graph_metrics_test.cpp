@@ -110,7 +110,7 @@ TEST(Dijkstra, UnreachableIsInfinite) {
 
 TEST(Stretch, IdenticalGraphsHaveUnitStretch) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}, {300, 0}};
-  const auto g = build_max_power_graph(pts, 150.0);
+  const auto g = build_max_power_graph(pts, radio::power_model(2.0, 150.0));
   const auto s = power_stretch(g, g, pts, 2.0, pts.size());
   EXPECT_DOUBLE_EQ(s.mean, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 1.0);
@@ -135,7 +135,7 @@ TEST(Stretch, PowerStretchCanBeBelowOneNever) {
   // The sparse graph is a subgraph, so its optimal routes can never be
   // cheaper; stretch >= 1 always.
   const std::vector<geom::vec2> pts{{0, 0}, {80, 10}, {160, -10}, {240, 0}, {120, 90}};
-  const auto dense = build_max_power_graph(pts, 200.0);
+  const auto dense = build_max_power_graph(pts, radio::power_model(2.0, 200.0));
   undirected_graph sparse(5);
   sparse.add_edge(0, 1);
   sparse.add_edge(1, 2);

@@ -99,10 +99,11 @@ TEST(DijkstraTree, IdenticalOnGraphsBuiltAtAnyPoolWidth) {
   // dijkstra_tree is a pure function of the adjacency.
   const std::vector<vec2> positions =
       geom::uniform_points(150, geom::bbox::rect(1500.0, 1500.0), 11);
+  const radio::power_model pm(2.0, 500.0);
   util::thread_pool one(1);
   util::thread_pool wide(8);
-  const undirected_graph a = build_max_power_graph(positions, 500.0, one);
-  const undirected_graph b = build_max_power_graph(positions, 500.0, wide);
+  const undirected_graph a = build_max_power_graph(positions, pm, one);
+  const undirected_graph b = build_max_power_graph(positions, pm, wide);
   ASSERT_TRUE(a == b);
   const edge_cost_fn cost = power_cost(positions, 2.0);
   const shortest_path_tree ta = dijkstra_tree(a, 7, cost);

@@ -226,20 +226,25 @@ TEST(BfsPath, EdgesExistAlongPath) {
 
 // ------------------------------------------------ euclidean G_R builder
 
-TEST(MaxPowerGraph, MatchesBruteForce) {
+TEST(MaxPowerGraph, MatchesBruteForceAtAnyWidth) {
   std::mt19937_64 rng(3);
   std::uniform_real_distribution<double> u(0.0, 1000.0);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<geom::vec2> pts;
     for (int i = 0; i < 150; ++i) pts.push_back({u(rng), u(rng)});
     const double R = 150.0 + 100.0 * trial;
-    EXPECT_EQ(build_max_power_graph(pts, R), build_max_power_graph_brute(pts, R));
+    const undirected_graph brute = build_max_power_graph_brute(pts, R);
+    for (const unsigned width : {1u, 3u, 4u}) {
+      util::thread_pool pool(width);
+      EXPECT_EQ(build_max_power_graph(pts, radio::power_model(2.0, R), pool), brute)
+          << "trial " << trial << ", width " << width;
+    }
   }
 }
 
 TEST(MaxPowerGraph, EdgeIffWithinRange) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {250, 0}};
-  const auto g = build_max_power_graph(pts, 150.0);
+  const auto g = build_max_power_graph(pts, radio::power_model(2.0, 150.0));
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_FALSE(g.has_edge(0, 2));
@@ -247,13 +252,15 @@ TEST(MaxPowerGraph, EdgeIffWithinRange) {
 
 TEST(MaxPowerGraph, ExactRangeBoundaryIncluded) {
   const std::vector<geom::vec2> pts{{0, 0}, {150, 0}};
-  EXPECT_TRUE(build_max_power_graph(pts, 150.0).has_edge(0, 1));
+  EXPECT_TRUE(build_max_power_graph(pts, radio::power_model(2.0, 150.0)).has_edge(0, 1));
 }
 
 TEST(MaxPowerGraph, EmptyAndDegenerate) {
-  EXPECT_EQ(build_max_power_graph({}, 100.0).num_nodes(), 0u);
+  EXPECT_EQ(build_max_power_graph({}, radio::power_model(2.0, 100.0)).num_nodes(), 0u);
+  // A range shorter than every pairwise distance links nothing (a
+  // zero range is not a valid power model).
   const std::vector<geom::vec2> pts{{0, 0}, {1, 1}};
-  EXPECT_EQ(build_max_power_graph(pts, 0.0).num_edges(), 0u);
+  EXPECT_EQ(build_max_power_graph(pts, radio::power_model(2.0, 1.0)).num_edges(), 0u);
 }
 
 TEST(EdgeLength, MatchesDistance) {

@@ -122,13 +122,17 @@ TEST(ShardDispatchTest, ShardKilledMidBatchDegradesThroughputNotResults) {
   const engine eng;
   const batch_report reference = eng.run_batch(spec, seeds, 2);
 
-  // Three shards; the first two connections (to whichever shards get
-  // them) are severed after a single partial — no done frame, exactly
-  // like a crash mid-request.
+  // Three shards, each severing its first connection after a single
+  // partial — no done frame, exactly like a crash mid-request. The
+  // batch's first request claims blocks 0-2 and is the first
+  // connection of whichever shard receives it, so a kill that strands
+  // claimed blocks happens however the dispatcher's workers are
+  // scheduled. One kill per shard stays within max_block_retries and
+  // max_endpoint_failures, so the batch must still complete.
   net::serve_config faulty;
   faulty.drop_after_partials = 1;
-  faulty.drop_connections = 2;
-  shard_fleet fleet({faulty, net::serve_config{}, net::serve_config{}});
+  faulty.drop_connections = 1;
+  shard_fleet fleet({faulty, faulty, faulty});
 
   dispatch_config cfg = config_for(fleet);
   cfg.blocks_per_request = 3;  // a kill strands multiple claimed blocks

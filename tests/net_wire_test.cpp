@@ -173,8 +173,12 @@ TEST(WireTest, MalformedMessagesAreRejected) {
   EXPECT_THROW(wire::decode_message("[1, 2, 3]"), std::invalid_argument);
   EXPECT_THROW(wire::decode_message(R"({"type": "nonsense"})"), std::invalid_argument);
   // Unknown keys are rejected, not ignored (strict-parse policy).
-  EXPECT_THROW(wire::decode_done(wire::decode_message(
+  EXPECT_THROW((void)wire::decode_done(wire::decode_message(
                    R"({"type": "done", "blocks": 1, "extra": true})")),
+               std::invalid_argument);
+  // Hostile nesting is a typed error, not a stack overflow.
+  EXPECT_THROW(wire::decode_message(std::string(100000, '[')), std::invalid_argument);
+  EXPECT_THROW(wire::decode_message(R"({"type": "done", "blocks": )" + std::string(100000, '{')),
                std::invalid_argument);
 }
 

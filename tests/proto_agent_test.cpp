@@ -91,7 +91,7 @@ TEST(ProtocolAgent, DirectionsAreAnglesOfArrival) {
 TEST(ProtocolAgent, ClosurePreservesConnectivity) {
   const auto positions = geom::uniform_points(80, geom::bbox::rect(1500, 1500), 11);
   const protocol_run_result run = run_protocol(positions, pm, reliable_config());
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   EXPECT_TRUE(graph::same_connectivity(run.outcome.symmetric_closure(), gr));
 }
 
@@ -113,7 +113,7 @@ TEST(ProtocolAgent, DropNoticesMatchOracleCore) {
   const protocol_run_result run = run_protocol(positions, pm, cfg);
   const algo::cbtc_result oracle = algo::run_cbtc(positions, pm, run.outcome.params);
   EXPECT_EQ(run.outcome.symmetric_closure(), oracle.symmetric_core());
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   EXPECT_TRUE(graph::same_connectivity(run.outcome.symmetric_closure(), gr));
 }
 
@@ -164,7 +164,7 @@ TEST(ProtocolAgent, DirectionNoiseKeepsConnectivity) {
   cfg.seed = 8;
   const auto positions = geom::uniform_points(80, geom::bbox::rect(1500, 1500), 31);
   const protocol_run_result run = run_protocol(positions, pm, cfg);
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   EXPECT_TRUE(graph::same_connectivity(run.outcome.symmetric_closure(), gr));
 }
 

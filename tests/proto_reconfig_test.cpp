@@ -65,7 +65,7 @@ struct reconfig_net {
 
   /// G_R over live nodes only (dead nodes isolated).
   [[nodiscard]] graph::undirected_graph live_gr() const {
-    const auto full = graph::build_max_power_graph(medium.positions(), pm.max_range());
+    const auto full = graph::build_max_power_graph(medium.positions(), pm);
     std::vector<bool> up(agents.size());
     for (node_id u = 0; u < agents.size(); ++u) up[u] = medium.is_up(u);
     return full.induced(up);

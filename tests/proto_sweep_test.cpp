@@ -93,7 +93,7 @@ TEST_P(LossyChannel, TerminatesAndClosureKeepsInvariants) {
   const protocol_run_result run = run_protocol(positions, pm, cfg);
   EXPECT_EQ(run.outcome.num_nodes(), positions.size());
   // Safety: everything discovered is a real G_R neighbor.
-  const auto gr = graph::build_max_power_graph(positions, pm.max_range());
+  const auto gr = graph::build_max_power_graph(positions, pm);
   for (std::size_t u = 0; u < positions.size(); ++u) {
     for (const auto& r : run.outcome.nodes[u].neighbors) {
       EXPECT_TRUE(gr.has_edge(static_cast<graph::node_id>(u), r.id))
