@@ -30,6 +30,7 @@
 #include "graph/digraph.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
+#include "graph/metrics.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
 
@@ -329,6 +330,30 @@ void BM_SymmetricClosureParallel(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SymmetricClosureParallel)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+/// The sampled power-stretch pass (the engine's default 8 sources) of
+/// the growth + shrink-back topology against G_R, at width 1 vs the full
+/// hardware width. The Parallel/Serial ratio is the bench gate: the
+/// (source, graph) Dijkstra jobs must actually fan out. Both widths
+/// return bitwise-identical stats.
+void BM_PowerStretchSerial(benchmark::State& state) {
+  const removal_fixture& f = removal_instance(state.range(0), false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::power_stretch(f.topology, f.candidates, f.positions,
+                                                  pm.exponent(), 8, util::serial_pool()));
+  }
+}
+BENCHMARK(BM_PowerStretchSerial)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+void BM_PowerStretchParallel(benchmark::State& state) {
+  const removal_fixture& f = removal_instance(state.range(0), false);
+  util::thread_pool pool(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        graph::power_stretch(f.topology, f.candidates, f.positions, pm.exponent(), 8, pool));
+  }
+}
+BENCHMARK(BM_PowerStretchParallel)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 // -- dynamic sampling: per-tick full rebuild vs incremental index -----
 

@@ -294,16 +294,17 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
 
   if (spec.metrics.stretch) {
     const graph::stretch_stats ps =
-        graph::power_stretch(r.topology, gr, positions, pm.exponent(), spec.metrics.stretch_samples);
+        graph::power_stretch(r.topology, gr, positions, pm.exponent(), spec.metrics.stretch_samples,
+                             pool);
     r.power_stretch = ps.mean;
     r.power_stretch_max = ps.max;
     const graph::stretch_stats hs =
-        graph::hop_stretch(r.topology, gr, spec.metrics.stretch_samples);
+        graph::hop_stretch(r.topology, gr, spec.metrics.stretch_samples, pool);
     r.hop_stretch = hs.mean;
     r.hop_stretch_max = hs.max;
   }
   if (spec.metrics.interference) {
-    const graph::interference_stats s = graph::topology_interference(r.topology, positions);
+    const graph::interference_stats s = graph::topology_interference(r.topology, positions, pool);
     r.interference_mean = s.mean;
     r.interference_max = s.max;
   }

@@ -14,6 +14,7 @@
 
 #include "geom/vec2.h"
 #include "graph/graph.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -28,8 +29,11 @@ struct interference_stats {
   std::size_t edges{0};
 };
 
-/// Coverage-based interference over all edges of the topology.
-[[nodiscard]] interference_stats topology_interference(const undirected_graph& g,
-                                                       std::span<const geom::vec2> positions);
+/// Coverage-based interference over all edges of the topology. Edges
+/// are counted in fixed node blocks across `pool`; the per-edge counts
+/// are integers, so the result is bitwise identical at every width.
+[[nodiscard]] interference_stats topology_interference(
+    const undirected_graph& g, std::span<const geom::vec2> positions,
+    util::thread_pool& pool = util::serial_pool());
 
 }  // namespace cbtc::graph

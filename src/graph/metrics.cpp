@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "graph/shortest_path.h"
-#include "graph/traversal.h"
 
 namespace cbtc::graph {
 
@@ -64,30 +63,67 @@ double average_power(const undirected_graph& g, std::span<const geom::vec2> posi
 
 namespace {
 
-stretch_stats stretch_impl(const undirected_graph& sparse, const undirected_graph& dense,
-                           std::size_t sample_sources,
-                           const std::function<std::vector<double>(const undirected_graph&, node_id)>& sssp) {
+/// One single-source job's reusable memory: the distance row it fills
+/// plus the Dijkstra heap or BFS queue that drives it. A stretch pass
+/// owns two per source of a wave and recycles them across waves.
+struct sssp_slot {
+  std::vector<double> dist;
+  dijkstra_heap heap;
+  std::vector<node_id> queue;
+};
+
+/// Common core of the stretch metrics. `solve(g, s, slot)` fills
+/// slot.dist with the distances from s in g (+infinity if unreachable).
+/// Sources run in waves of at most pool.size(): every (source, graph)
+/// job of a wave fans across the pool into its own slot, then the
+/// wave's ratios fold serially in (source, target) ascending order —
+/// the exact floating-point sequence of a one-source-at-a-time loop.
+template <class Solve>
+stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_graph& dense,
+                              std::size_t sample_sources, util::thread_pool& pool,
+                              const Solve& solve) {
   stretch_stats stats;
   const std::size_t n = dense.num_nodes();
-  if (n == 0) return stats;
-  const std::size_t sources = std::min(sample_sources, n);
+  if (n == 0 || sample_sources == 0) return stats;
   // Deterministic sampling: evenly spaced source ids.
-  const std::size_t step = std::max<std::size_t>(1, n / sources);
+  const std::size_t step = std::max<std::size_t>(1, n / std::min(sample_sources, n));
+  std::vector<node_id> sources;
+  for (std::size_t s = 0; s < n; s += step) sources.push_back(static_cast<node_id>(s));
+
+  // As few waves as the width allows, evened out (9 sources at width 4
+  // run as 3 x 3, not 4 + 4 + 1: same rounds, fewer rows held).
+  // slots[k] holds the dense row and slots[wave + k] the sparse row of
+  // the wave's k-th source. Dense jobs come first so the cheap sparse
+  // ones fill in behind them.
+  const std::size_t rounds = (sources.size() + pool.size() - 1) / pool.size();
+  const std::size_t wave = (sources.size() + rounds - 1) / rounds;
+  std::vector<sssp_slot> slots(2 * wave);
 
   double total = 0.0;
   double worst = 1.0;
   std::size_t pairs = 0;
-  for (node_id s = 0; s < n; s = static_cast<node_id>(s + step)) {
-    const std::vector<double> dd = sssp(dense, s);
-    const std::vector<double> ds = sssp(sparse, s);
-    for (node_id t = 0; t < n; ++t) {
-      if (t == s) continue;
-      if (!std::isfinite(dd[t]) || dd[t] <= 0.0) continue;  // unreachable in dense graph
-      if (!std::isfinite(ds[t])) continue;                  // connectivity violation; skip here
-      const double ratio = ds[t] / dd[t];
-      total += ratio;
-      worst = std::max(worst, ratio);
-      ++pairs;
+  for (std::size_t first = 0; first < sources.size(); first += wave) {
+    const std::size_t m = std::min(wave, sources.size() - first);
+    pool.parallel_for_chunks(2 * m, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t j = lo; j < hi; ++j) {
+        const bool is_dense = j < m;
+        const std::size_t k = is_dense ? j : j - m;
+        solve(is_dense ? dense : sparse, sources[first + k], slots[is_dense ? k : wave + k]);
+      }
+    });
+    for (std::size_t k = 0; k < m; ++k) {
+      const node_id s = sources[first + k];
+      const std::vector<double>& dd = slots[k].dist;
+      const std::vector<double>& ds = slots[wave + k].dist;
+      for (node_id t = 0; t < n; ++t) {
+        if (t == s) continue;
+        if (!std::isfinite(dd[t]) || dd[t] <= 0.0) continue;  // unreachable in dense graph
+        if (!std::isfinite(ds[t])) continue;                  // connectivity violation; skip here
+        const double ratio = ds[t] / dd[t];
+        total += ratio;
+        worst = std::max(worst, ratio);
+        ++pairs;
+      }
     }
   }
   if (pairs > 0) {
@@ -102,25 +138,37 @@ stretch_stats stretch_impl(const undirected_graph& sparse, const undirected_grap
 
 stretch_stats power_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                             const std::vector<geom::vec2>& positions, double exponent,
-                            std::size_t sample_sources) {
-  const edge_cost_fn cost = power_cost(positions, exponent);
-  return stretch_impl(sparse, dense, sample_sources,
-                      [&cost](const undirected_graph& g, node_id s) { return dijkstra(g, s, cost); });
+                            std::size_t sample_sources, util::thread_pool& pool) {
+  return sampled_stretch(sparse, dense, sample_sources, pool,
+                         [&](const undirected_graph& g, node_id s, sssp_slot& slot) {
+                           const auto cost = [&](node_id u, node_id v) {
+                             return std::pow(geom::distance(positions[u], positions[v]), exponent);
+                           };
+                           dijkstra_into(g, s, cost, slot.dist, slot.heap, [](node_id, node_id) {});
+                         });
 }
 
 stretch_stats hop_stretch(const undirected_graph& sparse, const undirected_graph& dense,
-                          std::size_t sample_sources) {
-  auto bfs_as_double = [](const undirected_graph& g, node_id s) {
-    const std::vector<std::uint32_t> d = bfs_distances(g, s);
-    std::vector<double> out(d.size());
-    for (std::size_t i = 0; i < d.size(); ++i) {
-      out[i] = d[i] == std::numeric_limits<std::uint32_t>::max()
-                   ? std::numeric_limits<double>::infinity()
-                   : static_cast<double>(d[i]);
-    }
-    return out;
-  };
-  return stretch_impl(sparse, dense, sample_sources, bfs_as_double);
+                          std::size_t sample_sources, util::thread_pool& pool) {
+  return sampled_stretch(sparse, dense, sample_sources, pool,
+                         [](const undirected_graph& g, node_id s, sssp_slot& slot) {
+                           // BFS with hop counts kept as doubles: exact integers, and
+                           // +infinity marks unreachable nodes as in the power rows.
+                           constexpr double inf = std::numeric_limits<double>::infinity();
+                           slot.dist.assign(g.num_nodes(), inf);
+                           slot.queue.clear();
+                           slot.dist[s] = 0.0;
+                           slot.queue.push_back(s);
+                           for (std::size_t head = 0; head < slot.queue.size(); ++head) {
+                             const node_id u = slot.queue[head];
+                             for (const node_id v : g.neighbors(u)) {
+                               if (slot.dist[v] == inf) {
+                                 slot.dist[v] = slot.dist[u] + 1.0;
+                                 slot.queue.push_back(v);
+                               }
+                             }
+                           }
+                         });
 }
 
 }  // namespace cbtc::graph

@@ -13,6 +13,7 @@
 #include "geom/vec2.h"
 #include "graph/graph.h"
 #include "graph/types.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
@@ -48,15 +49,23 @@ struct stretch_stats {
 
 /// Power stretch of `sparse` w.r.t. `dense`: for sampled connected
 /// pairs (s,t), the ratio of minimum-energy route costs (cost d^exponent
-/// per hop). `sample_sources` bounds the number of Dijkstra runs;
-/// pass the node count (or more) for the exact all-pairs statistic.
+/// per hop). Sources are the evenly spaced ids 0, step, 2 step, ...
+/// with step = max(1, n / sample_sources): ceil(n / step) of them,
+/// which can exceed `sample_sources` (9 for n = 100 and 8 samples).
+/// Pass the node count (or more) for the exact all-pairs statistic;
+/// 0 samples measure nothing (pairs = 0). The (source, graph) runs fan
+/// across `pool`; the ratios fold in (source, target) ascending order
+/// afterwards, so the result is bitwise identical at every pool width.
 [[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
                                           const undirected_graph& dense,
                                           const std::vector<geom::vec2>& positions, double exponent,
-                                          std::size_t sample_sources = 32);
+                                          std::size_t sample_sources = 32,
+                                          util::thread_pool& pool = util::serial_pool());
 
-/// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts).
+/// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts); same
+/// sampling, pooling and fold order as power_stretch.
 [[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
-                                        const undirected_graph& dense, std::size_t sample_sources = 32);
+                                        const undirected_graph& dense, std::size_t sample_sources = 32,
+                                        util::thread_pool& pool = util::serial_pool());
 
 }  // namespace cbtc::graph

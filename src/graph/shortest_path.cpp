@@ -1,56 +1,23 @@
 #include "graph/shortest_path.h"
 
 #include <cmath>
-#include <limits>
-#include <queue>
 
 namespace cbtc::graph {
 
 std::vector<double> dijkstra(const undirected_graph& g, node_id from, const edge_cost_fn& cost) {
-  constexpr double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(g.num_nodes(), inf);
-  using entry = std::pair<double, node_id>;
-  std::priority_queue<entry, std::vector<entry>, std::greater<>> heap;
-  dist[from] = 0.0;
-  heap.push({0.0, from});
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    for (node_id v : g.neighbors(u)) {
-      const double nd = d + cost(u, v);
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        heap.push({nd, v});
-      }
-    }
-  }
+  std::vector<double> dist;
+  dijkstra_heap heap;
+  dijkstra_into(g, from, cost, dist, heap, [](node_id, node_id) {});
   return dist;
 }
 
 shortest_path_tree dijkstra_tree(const undirected_graph& g, node_id from,
                                  const edge_cost_fn& cost) {
-  constexpr double inf = std::numeric_limits<double>::infinity();
   shortest_path_tree tree;
-  tree.dist.assign(g.num_nodes(), inf);
   tree.parent.assign(g.num_nodes(), invalid_node);
-  using entry = std::pair<double, node_id>;
-  std::priority_queue<entry, std::vector<entry>, std::greater<>> heap;
-  tree.dist[from] = 0.0;
-  heap.push({0.0, from});
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > tree.dist[u]) continue;
-    for (node_id v : g.neighbors(u)) {
-      const double nd = d + cost(u, v);
-      if (nd < tree.dist[v]) {
-        tree.dist[v] = nd;
-        tree.parent[v] = u;
-        heap.push({nd, v});
-      }
-    }
-  }
+  dijkstra_heap heap;
+  dijkstra_into(g, from, cost, tree.dist, heap,
+                [&tree](node_id v, node_id u) { tree.parent[v] = u; });
   return tree;
 }
 

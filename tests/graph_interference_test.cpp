@@ -5,6 +5,7 @@
 #include "baselines/baselines.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 namespace {
@@ -95,6 +96,19 @@ TEST(TopologyInterference, MatchesPerEdgeComputation) {
   }
   EXPECT_DOUBLE_EQ(stats.mean, total / static_cast<double>(gr.num_edges()));
   EXPECT_EQ(stats.max, max_cov);
+}
+
+TEST(TopologyInterference, PoolWidthDoesNotChangeStats) {
+  // Several reduction blocks of nodes, counted at width 1 and width 4.
+  const auto pts = geom::uniform_points(3000, geom::bbox::rect(8200, 8200), 13);
+  const auto gr = build_max_power_graph(pts, radio::power_model(2.0, 500.0));
+  util::thread_pool wide(4);
+  const interference_stats one = topology_interference(gr, pts);
+  const interference_stats four = topology_interference(gr, pts, wide);
+  EXPECT_EQ(one.mean, four.mean);
+  EXPECT_EQ(one.max, four.max);
+  EXPECT_EQ(one.edges, four.edges);
+  EXPECT_EQ(one.edges, gr.num_edges());
 }
 
 }  // namespace

@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "algo/pipeline.h"
+#include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
+#include "graph/traversal.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 namespace {
@@ -151,6 +156,126 @@ TEST(Stretch, EmptyGraphsYieldDefaults) {
   const auto s = power_stretch(undirected_graph(0), undirected_graph(0), pts, 2.0);
   EXPECT_DOUBLE_EQ(s.mean, 1.0);
   EXPECT_EQ(s.pairs, 0u);
+}
+
+// ------------------------------------------------- pooled stretch sampler
+
+/// The stretch fold written out one source at a time over the generic
+/// dijkstra() / bfs_distances(): the reference the pooled sampler must
+/// match bit for bit.
+stretch_stats reference_stretch(const undirected_graph& sparse, const undirected_graph& dense,
+                                const std::vector<geom::vec2>& pts, std::size_t samples,
+                                bool hops) {
+  const auto row = [&](const undirected_graph& g, node_id s) {
+    if (!hops) return dijkstra(g, s, power_cost(pts, 2.0));
+    std::vector<double> out;
+    for (const std::uint32_t h : bfs_distances(g, s)) {
+      out.push_back(h == std::numeric_limits<std::uint32_t>::max()
+                        ? std::numeric_limits<double>::infinity()
+                        : static_cast<double>(h));
+    }
+    return out;
+  };
+  stretch_stats stats;
+  const std::size_t n = dense.num_nodes();
+  const std::size_t step = std::max<std::size_t>(1, n / std::min(samples, n));
+  double total = 0.0;
+  double worst = 1.0;
+  std::size_t pairs = 0;
+  for (node_id s = 0; s < n; s = static_cast<node_id>(s + step)) {
+    const std::vector<double> dd = row(dense, s);
+    const std::vector<double> ds = row(sparse, s);
+    for (node_id t = 0; t < n; ++t) {
+      if (t == s || !std::isfinite(dd[t]) || dd[t] <= 0.0 || !std::isfinite(ds[t])) continue;
+      total += ds[t] / dd[t];
+      worst = std::max(worst, ds[t] / dd[t]);
+      ++pairs;
+    }
+  }
+  if (pairs > 0) stats = {total / static_cast<double>(pairs), worst, pairs};
+  return stats;
+}
+
+void expect_bitwise_equal(const stretch_stats& a, const stretch_stats& b) {
+  EXPECT_EQ(a.mean, b.mean);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.pairs, b.pairs);
+}
+
+/// power_stretch and hop_stretch at pool width 1 and 4 against the
+/// one-source-at-a-time reference; returns the width-1 power stats.
+stretch_stats expect_width_invariant(const undirected_graph& sparse, const undirected_graph& dense,
+                                     const std::vector<geom::vec2>& pts, std::size_t samples) {
+  util::thread_pool wide(4);
+  const stretch_stats p1 = power_stretch(sparse, dense, pts, 2.0, samples, util::serial_pool());
+  const stretch_stats p4 = power_stretch(sparse, dense, pts, 2.0, samples, wide);
+  const stretch_stats h1 = hop_stretch(sparse, dense, samples, util::serial_pool());
+  const stretch_stats h4 = hop_stretch(sparse, dense, samples, wide);
+  expect_bitwise_equal(p1, p4);
+  expect_bitwise_equal(h1, h4);
+  expect_bitwise_equal(p1, reference_stretch(sparse, dense, pts, samples, false));
+  expect_bitwise_equal(h1, reference_stretch(sparse, dense, pts, samples, true));
+  return p1;
+}
+
+/// A CBTC topology and its G_R over `n` uniform nodes at the paper's
+/// density (100 nodes per 1500 x 1500).
+struct stretch_instance {
+  std::vector<geom::vec2> pts;
+  undirected_graph dense;
+  undirected_graph sparse;
+};
+
+stretch_instance make_stretch_instance(std::size_t n, std::uint64_t seed) {
+  const radio::power_model pm(2.0, 500.0);
+  stretch_instance inst;
+  const double side = 1500.0 * std::sqrt(static_cast<double>(n) / 100.0);
+  inst.pts = geom::uniform_points(n, geom::bbox::rect(side, side), seed);
+  inst.dense = build_max_power_graph(inst.pts, pm);
+  inst.sparse = algo::build_topology(inst.pts, pm, {}, algo::optimization_set::all()).topology;
+  return inst;
+}
+
+TEST(PooledStretch, WidthOneAndFourBitwiseEqualOnRandomInstance) {
+  const stretch_instance inst = make_stretch_instance(2000, 5);
+  const stretch_stats s = expect_width_invariant(inst.sparse, inst.dense, inst.pts, 8);
+  EXPECT_GT(s.pairs, 0u);
+  EXPECT_GT(s.max, 1.0);
+  // Twenty sources run as several waves at width 4; the fold still
+  // crosses wave boundaries in source order.
+  expect_width_invariant(inst.sparse, inst.dense, inst.pts, 20);
+}
+
+TEST(PooledStretch, DisconnectedTopologySkipsUnreachablePairs) {
+  // Cut every edge of a few nodes out of the topology: G_R still
+  // reaches them, the topology does not, so their pairs are skipped.
+  stretch_instance inst = make_stretch_instance(400, 9);
+  for (node_id u = 0; u < inst.pts.size(); u += 37) {
+    const std::vector<node_id> nbrs(inst.sparse.neighbors(u).begin(),
+                                    inst.sparse.neighbors(u).end());
+    for (const node_id v : nbrs) inst.sparse.remove_edge(u, v);
+  }
+  ASSERT_GT(connected_components(inst.sparse).count, connected_components(inst.dense).count);
+  const stretch_stats s = expect_width_invariant(inst.sparse, inst.dense, inst.pts, 8);
+  const stretch_stats whole = power_stretch(inst.dense, inst.dense, inst.pts, 2.0, 8);
+  EXPECT_LT(s.pairs, whole.pairs);
+  EXPECT_GT(s.pairs, 0u);
+}
+
+TEST(PooledStretch, HundredNodesAtEightSamplesRunNineSources) {
+  // step = 100 / 8 = 12 samples sources 0, 12, ..., 96: nine of them,
+  // one more than asked. The recorded benchmark outputs depend on it.
+  const stretch_instance inst = make_stretch_instance(100, 3);
+  ASSERT_EQ(connected_components(inst.dense).count, 1u);
+  const stretch_stats s = expect_width_invariant(inst.sparse, inst.dense, inst.pts, 8);
+  EXPECT_EQ(s.pairs, 9u * 99u);
+  EXPECT_EQ(hop_stretch(inst.sparse, inst.dense, 8).pairs, 9u * 99u);
+}
+
+TEST(PooledStretch, ZeroSamplesMeasureNothing) {
+  const stretch_instance inst = make_stretch_instance(100, 3);
+  EXPECT_EQ(power_stretch(inst.sparse, inst.dense, inst.pts, 2.0, 0).pairs, 0u);
+  EXPECT_EQ(hop_stretch(inst.sparse, inst.dense, 0).pairs, 0u);
 }
 
 }  // namespace

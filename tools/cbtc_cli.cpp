@@ -519,10 +519,14 @@ int print_static_sweep(const api::scenario_spec& spec, const api::batch_report& 
   row("max radius", b.max_radius, 1);
   row("avg tx power", b.tx_power, 0);
   row("boundary nodes", b.boundary, 1);
-  row("power stretch", b.power_stretch, 3);
-  row("hop stretch", b.hop_stretch, 3);
-  row("interference", b.interference, 1);
-  row("cut vertices", b.cut_vertices, 1);
+  // A metric the spec turned off keeps its report default (stretch 1,
+  // interference 0): print no row for it rather than a fake value.
+  if (spec.metrics.stretch) {
+    row("power stretch", b.power_stretch, 3);
+    row("hop stretch", b.hop_stretch, 3);
+  }
+  if (spec.metrics.interference) row("interference", b.interference, 1);
+  if (spec.metrics.robustness) row("cut vertices", b.cut_vertices, 1);
   if (b.has_protocol_stats) {
     row("protocol messages", b.messages, 0);
     row("protocol deliveries", b.deliveries, 0);
@@ -563,10 +567,13 @@ int print_method_comparison(api::scenario_spec spec, const std::string& list,
   for (const api::method_spec& m : methods) {
     spec.method = m;
     const api::batch_report b = eng.run_batch(spec, seeds, threads);
+    const auto stretch = [&](double x) {
+      return spec.metrics.stretch ? exp::table::num(x, 3) : std::string("-");
+    };
     t.add_row({api::method_name(m), exp::table::num(b.edges.mean(), 1),
                exp::table::num(b.degree.mean(), 2), exp::table::num(b.tx_power.mean(), 0),
-               exp::table::num(b.power_stretch.mean(), 3),
-               exp::table::num(b.power_stretch.max(), 3), exp::table::num(b.hop_stretch.mean(), 3),
+               stretch(b.power_stretch.mean()), stretch(b.power_stretch.max()),
+               stretch(b.hop_stretch.mean()),
                std::to_string(b.runs - b.connectivity_failures) + "/" + std::to_string(b.runs)});
     failures += b.connectivity_failures;
   }
