@@ -478,14 +478,12 @@ BENCHMARK(BM_DynamicTickIncrementalIndexObstacles)
     ->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// -- dynamic runs: mirrored agent tables vs full table capture --------
+// -- dynamic runs: the agent-table mirror under churn -----------------
 
 /// A churn + mobility workload whose connectivity is re-evaluated at
-/// every topology-changing event — the path the agent-table mirror
-/// accelerates. range(0) nodes; `mirrored` picks the incremental
-/// closure_mirror or the legacy full per-evaluation table re-read
-/// (reports are bitwise identical either way; tests assert it).
-void run_dynamic_capture(benchmark::State& state, bool mirrored) {
+/// every topology-changing event, read in place from the incremental
+/// closure_mirror. range(0) nodes.
+void BM_DynamicCaptureMirror(benchmark::State& state) {
   api::scenario_spec spec = scaling_spec(state.range(0));
   spec.method = api::method_spec::protocol();
   spec.protocol.agent.round_timeout = 0.5;
@@ -502,17 +500,13 @@ void run_dynamic_capture(benchmark::State& state, bool mirrored) {
   dyn.failures.random_crashes = state.range(0) / 20;
   dyn.failures.window_begin = 14.0;
   dyn.failures.window_end = 30.0;
-  dyn.mirror_agent_tables = mirrored;
   for (auto _ : state) {
     benchmark::DoNotOptimize(eng.run_dynamic(spec, dyn, 0));
   }
   state.SetComplexityN(state.range(0));
 }
 
-void BM_DynamicCaptureMirror(benchmark::State& state) { run_dynamic_capture(state, true); }
-void BM_DynamicCaptureFull(benchmark::State& state) { run_dynamic_capture(state, false); }
 BENCHMARK(BM_DynamicCaptureMirror)->Arg(150)->Arg(600)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DynamicCaptureFull)->Arg(150)->Arg(600)->Unit(benchmark::kMillisecond);
 
 // -- convergecast data plane: traffic on vs off -----------------------
 

@@ -1,6 +1,8 @@
 #include "api/serialize.h"
 
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -403,7 +405,6 @@ jv sim_to_jv(const sim_spec& s) {
   o.add("horizon", jv::of(s.horizon));
   o.add("settle", jv::of(s.settle));
   o.add("sample_every", jv::of(s.sample_every));
-  o.add("mirror_agent_tables", jv::of(s.mirror_agent_tables));
   {
     jv b = jv::object();
     b.add("interval", jv::of(s.beacons.interval));
@@ -471,7 +472,28 @@ sim_spec sim_from_jv(const jv& o) {
   s.horizon = get_num(o, "horizon", s.horizon);
   s.settle = get_num(o, "settle", s.settle);
   s.sample_every = get_num(o, "sample_every", s.sample_every);
-  s.mirror_agent_tables = get_bool(o, "mirror_agent_tables", s.mirror_agent_tables);
+  // Retired toggle (the closure mirror is the only topology path now):
+  // still type-checked so older files and frames parse, value ignored.
+  (void)get_bool(o, "mirror_agent_tables", true);
+  // run_dynamic samples at settle, then `for (t = settle + step;
+  // t < horizon; t += step)`: bound that loop's trip count and make
+  // every step advance the clock at the horizon's magnitude.
+  const auto require_time = [](double t, const char* key) {
+    require(std::isfinite(t) && t >= 0.0,
+            std::string("sim.") + key + " must be finite and non-negative");
+  };
+  require_time(s.horizon, "horizon");
+  require_time(s.settle, "settle");
+  require_time(s.sample_every, "sample_every");
+  if (s.sample_every > 0.0 && s.horizon > s.settle) {
+    require((s.horizon - s.settle) / s.sample_every + 2.0 <=
+                static_cast<double>(sim_spec::max_samples),
+            "sim.sample_every would take more than " + std::to_string(sim_spec::max_samples) +
+                " samples before the horizon");
+    require(s.sample_every >=
+                std::nextafter(s.horizon, std::numeric_limits<double>::infinity()) - s.horizon,
+            "sim.sample_every is below the clock resolution at the horizon");
+  }
   if (const jv* b = get(o, "beacons")) {
     check_keys(*b, "beacons", {"interval", "miss_limit", "achange_threshold", "shrink_back"});
     s.beacons.interval = get_num(*b, "interval", s.beacons.interval);

@@ -119,18 +119,17 @@ struct traffic_spec {
 /// horizon. The initial growing phase runs first; metric sampling
 /// starts at `settle` (by which the initial topology should be built).
 struct sim_spec {
+  /// Most metric samples one run may take (settle and horizon
+  /// included); the scenario parser rejects a cadence that would
+  /// exceed it.
+  static constexpr std::size_t max_samples = 100'000;
+
   double horizon{120.0};      ///< total simulated time
   double settle{15.0};        ///< initial topology settle time
   double sample_every{5.0};   ///< metric sample cadence after settle
   beacon_spec beacons{};
   mobility_spec mobility{};
   failure_spec failures{};
-  /// Maintain the agents' symmetric-closure topology incrementally
-  /// from per-agent neighbor-table deltas (graph::closure_mirror)
-  /// instead of re-reading every agent's table at each connectivity
-  /// evaluation. Reports are bitwise identical either way (asserted in
-  /// tests); false exists to keep the reference path exercisable.
-  bool mirror_agent_tables{true};
   /// Spatially partitioned parallel event engine (see partition_spec).
   partition_spec partition{};
   /// Convergecast data plane (off unless traffic.period > 0).

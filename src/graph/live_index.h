@@ -183,8 +183,8 @@ class live_neighbor_index {
 /// each table delta costs O(degree) and a closure snapshot is a plain
 /// filtered copy of sorted adjacency (adopted wholesale, no per-edge
 /// insertion). Snapshots are edge-identical to the full re-read by
-/// construction (asserted in tests and kept exercisable through
-/// api::sim_spec::mirror_agent_tables).
+/// construction (Reconfig.ClosureMirrorTracksAgentTables drives a
+/// mirror from live agents and compares it with that re-read).
 class closure_mirror {
  public:
   /// All nodes initially up, no arcs.

@@ -4,34 +4,23 @@
 
 namespace cbtc::sim {
 
-event_key simulator::make_key(time_point t, std::uint8_t cls, graph::node_id a, graph::node_id b,
-                              std::uint64_t seq, std::uint32_t copy) {
-  if (t < now_) t = now_;
-  if (ties_ == tie_policy::fifo) {
-    // Degenerate key: (t, global scheduling order) — the historical
-    // FIFO comparator, whatever the event's type.
-    return event_key{t, 0, 0, 0, global_seq_++, 0};
-  }
-  return event_key{t, cls, a, b, seq, copy};
+void simulator::push(event_key key, action fn) {
+  if (key.t < now_) key.t = now_;
+  queue_.push({key, std::move(fn)});
 }
 
 void simulator::schedule_at(time_point t, action fn) {
-  const std::uint64_t seq = ties_ == tie_policy::canonical ? global_seq_++ : 0;
-  queue_.push({make_key(t, 0, 0, 0, seq, 0), std::move(fn)});
+  push(event_key{t, 0, 0, 0, global_seq_++, 0}, std::move(fn));
 }
 
 void simulator::schedule_node(time_point t, graph::node_id owner, action fn) {
-  std::uint64_t seq = 0;
-  if (ties_ == tie_policy::canonical) {
-    if (owner >= node_seq_.size()) node_seq_.resize(owner + 1, 0);
-    seq = node_seq_[owner]++;
-  }
-  queue_.push({make_key(t, 1, owner, 0, seq, 0), std::move(fn)});
+  if (owner >= node_seq_.size()) node_seq_.resize(owner + 1, 0);
+  push(event_key{t, 1, owner, 0, node_seq_[owner]++, 0}, std::move(fn));
 }
 
 void simulator::schedule_delivery(time_point t, graph::node_id to, graph::node_id from,
                                   std::uint64_t tx_seq, std::uint32_t copy, action fn) {
-  queue_.push({make_key(t, 2, to, from, tx_seq, copy), std::move(fn)});
+  push(event_key{t, 2, to, from, tx_seq, copy}, std::move(fn));
 }
 
 void simulator::pop_run_top() {

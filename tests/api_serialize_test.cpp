@@ -60,7 +60,6 @@ scenario_file busy_file() {
                   .tick = 0.25,
                   .start = 10.0,
                   .until = 80.0};
-  dyn.mirror_agent_tables = false;  // non-default: must survive the trip
   dyn.partition = {.regions = 9, .min_nodes = 2048};
   dyn.failures.random_crashes = 6;
   dyn.failures.window_begin = 15.0;
@@ -120,7 +119,6 @@ TEST(ApiSerialize, RoundTripPreservesEveryField) {
   EXPECT_DOUBLE_EQ(x.horizon, y.horizon);
   EXPECT_DOUBLE_EQ(x.settle, y.settle);
   EXPECT_DOUBLE_EQ(x.sample_every, y.sample_every);
-  EXPECT_EQ(x.mirror_agent_tables, y.mirror_agent_tables);
   EXPECT_EQ(x.partition.regions, y.partition.regions);
   EXPECT_EQ(x.partition.min_nodes, y.partition.min_nodes);
   EXPECT_DOUBLE_EQ(x.beacons.interval, y.beacons.interval);
@@ -241,10 +239,48 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
       std::string(json::max_nesting_depth, '[') + std::string(json::max_nesting_depth, ']');
   EXPECT_NO_THROW((void)json::parse_document(at_cap));
   EXPECT_THROW((void)json::parse_document("[" + at_cap + "]"), std::invalid_argument);
+  // Sampling cadences that would never finish (or never advance the
+  // clock) are rejected up front, as are non-finite or negative times.
+  // Each entry is one "sim" block.
+  for (const char* sim : {
+           R"({"sample_every": 1e-300})",
+           R"({"horizon": 1e300, "sample_every": 5})",
+           R"({"horizon": 1e17, "settle": 99999999999999936, "sample_every": 1})",
+           R"({"horizon": -1})",
+           R"({"settle": -0.5})",
+           R"({"sample_every": -5})",
+           R"({"horizon": 1e999})",
+           // The retired mirror toggle is ignored but still type-checked.
+           R"({"mirror_agent_tables": "yes"})",
+           R"({"mirror_agent_tables": 1})",
+       }) {
+    EXPECT_THROW(parse_scenario_json(std::string(R"({"scenario": {}, "sim": )") + sim + "}"),
+                 std::invalid_argument)
+        << sim;
+  }
+  // The cap itself: max_samples samples (settle and horizon included)
+  // still parse.
+  const std::string sample_cap = R"({"scenario": {}, "sim": {"horizon": )" +
+                                 std::to_string(sim_spec::max_samples - 2) +
+                                 R"(, "settle": 0, "sample_every": 1}})";
+  EXPECT_NO_THROW((void)parse_scenario_json(sample_cap));
   // Exact integers in scientific notation are still fine.
   const scenario_file sci =
       parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1e2}}})");
   EXPECT_EQ(sci.scenario.deploy.nodes, 100u);
+}
+
+TEST(ApiSerialize, RetiredMirrorKeyIsAcceptedAndIgnored) {
+  // The closure mirror is the only topology path; the old toggle still
+  // parses (either value) and is never written back.
+  const scenario_file plain = parse_scenario_json(R"({"scenario": {}, "sim": {"horizon": 40}})");
+  for (const char* flag : {"true", "false"}) {
+    const scenario_file keyed = parse_scenario_json(
+        std::string(R"({"scenario": {}, "sim": {"horizon": 40, "mirror_agent_tables": )") + flag +
+        "}}");
+    EXPECT_EQ(to_json(keyed), to_json(plain)) << flag;
+    EXPECT_EQ(to_json(keyed).find("mirror_agent_tables"), std::string::npos) << flag;
+  }
 }
 
 TEST(ApiSerialize, PropagationRoundTripsAllKinds) {
@@ -348,7 +384,6 @@ TEST(ApiSerialize, RandomSpecsRoundTripIdempotently) {
       sim_spec dyn;
       dyn.horizon = pick_double(1.0, 500.0);
       dyn.settle = pick_double(0.0, 50.0);
-      dyn.mirror_agent_tables = rng() % 2 == 0;
       dyn.partition.regions = static_cast<std::uint32_t>(rng() % 17);
       dyn.partition.min_nodes = rng() % 10000;
       dyn.mobility.kind = static_cast<mobility_kind>(rng() % 3);

@@ -77,109 +77,6 @@ TEST(ApiSim, DynamicBatchAggregatesAreThreadCountInvariant) {
   expect_identical(serial.live_nodes, parallel.live_nodes, "live_nodes");
 }
 
-/// The incremental closure mirror must be observationally invisible:
-/// a run that maintains the agents' topology from table deltas and a
-/// run that re-reads every neighbor table at each evaluation produce
-/// the bitwise-identical dynamic_report — same samples, same exact
-/// disruption windows, same final topology.
-TEST(ApiSim, MirroredAgentTablesMatchFullCaptureBitwise) {
-  const scenario_spec spec = churn_scenario();
-  sim_spec dyn = churn_sim();
-  // Add mobility on top of the crashes so joins/leaves/aChanges,
-  // regrows, and shrink-back prunes all stream table deltas.
-  dyn.mobility = {.kind = mobility_kind::random_waypoint,
-                  .min_speed = 1.0,
-                  .max_speed = 4.0,
-                  .tick = 0.5,
-                  .start = 9.0};
-  const engine eng;
-
-  for (const std::uint64_t seed : {0ull, 1ull, 2ull, 3ull}) {
-    dyn.mirror_agent_tables = true;
-    const dynamic_report mirrored = eng.run_dynamic(spec, dyn, seed);
-    dyn.mirror_agent_tables = false;
-    const dynamic_report full = eng.run_dynamic(spec, dyn, seed);
-    SCOPED_TRACE(::testing::Message() << "seed " << seed);
-
-    EXPECT_EQ(mirrored.final_topology, full.final_topology);
-    EXPECT_EQ(mirrored.initial_connectivity_ok, full.initial_connectivity_ok);
-    EXPECT_EQ(mirrored.final_connectivity_ok, full.final_connectivity_ok);
-    EXPECT_EQ(mirrored.disruptions, full.disruptions);
-    EXPECT_EQ(mirrored.unrepaired, full.unrepaired);
-    EXPECT_EQ(mirrored.repair_latency_mean, full.repair_latency_mean);  // bitwise
-    EXPECT_EQ(mirrored.repair_latency_max, full.repair_latency_max);
-    EXPECT_EQ(mirrored.field_disruptions, full.field_disruptions);
-    EXPECT_EQ(mirrored.field_downtime, full.field_downtime);
-    EXPECT_EQ(mirrored.partitioned, full.partitioned);
-    EXPECT_EQ(mirrored.time_to_partition, full.time_to_partition);
-    EXPECT_EQ(mirrored.joins, full.joins);
-    EXPECT_EQ(mirrored.leaves, full.leaves);
-    EXPECT_EQ(mirrored.achanges, full.achanges);
-    EXPECT_EQ(mirrored.regrows, full.regrows);
-    EXPECT_EQ(mirrored.prunes, full.prunes);
-    EXPECT_EQ(mirrored.channel.broadcasts, full.channel.broadcasts);
-    EXPECT_EQ(mirrored.channel.tx_energy, full.channel.tx_energy);
-    ASSERT_EQ(mirrored.samples.size(), full.samples.size());
-    for (std::size_t i = 0; i < mirrored.samples.size(); ++i) {
-      EXPECT_EQ(mirrored.samples[i].edges, full.samples[i].edges) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].avg_degree, full.samples[i].avg_degree) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].avg_radius, full.samples[i].avg_radius) << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].connectivity_ok, full.samples[i].connectivity_ok)
-          << "sample " << i;
-      EXPECT_EQ(mirrored.samples[i].field_connected, full.samples[i].field_connected)
-          << "sample " << i;
-    }
-  }
-}
-
-/// The mirrored path now compares connectivity *in place* (adjacency
-/// views over closure_mirror + live_neighbor_index, no per-evaluation
-/// graph snapshots); the full-capture path still materializes
-/// snapshots. Their dynamic_reports must stay bitwise identical — also
-/// under non-uniform per-link gains, where the live index filters
-/// every candidate link.
-TEST(ApiSim, InPlaceMirrorConnectivityMatchesSnapshotPathUnderPropagation) {
-  scenario_spec spec = churn_scenario();
-  sim_spec dyn = churn_sim();
-  dyn.mobility = {.kind = mobility_kind::random_waypoint,
-                  .min_speed = 1.0,
-                  .max_speed = 4.0,
-                  .tick = 0.5,
-                  .start = 9.0};
-  const engine eng;
-
-  for (const bool shadowed : {false, true}) {
-    spec.radio.propagation =
-        shadowed ? propagation_spec{.kind = radio::propagation_kind::lognormal_shadowing,
-                                    .sigma_db = 3.0,
-                                    .clamp_db = 6.0}
-                 : propagation_spec{};
-    for (const std::uint64_t seed : {0ull, 1ull}) {
-      dyn.mirror_agent_tables = true;
-      const dynamic_report in_place = eng.run_dynamic(spec, dyn, seed);
-      dyn.mirror_agent_tables = false;
-      const dynamic_report snapshot = eng.run_dynamic(spec, dyn, seed);
-      SCOPED_TRACE(::testing::Message() << "shadowed=" << shadowed << " seed " << seed);
-
-      EXPECT_EQ(in_place.final_topology, snapshot.final_topology);
-      EXPECT_EQ(in_place.disruptions, snapshot.disruptions);
-      EXPECT_EQ(in_place.unrepaired, snapshot.unrepaired);
-      EXPECT_EQ(in_place.repair_latency_mean, snapshot.repair_latency_mean);  // bitwise
-      EXPECT_EQ(in_place.repair_latency_max, snapshot.repair_latency_max);
-      EXPECT_EQ(in_place.field_disruptions, snapshot.field_disruptions);
-      EXPECT_EQ(in_place.field_downtime, snapshot.field_downtime);
-      EXPECT_EQ(in_place.partitioned, snapshot.partitioned);
-      EXPECT_EQ(in_place.time_to_partition, snapshot.time_to_partition);
-      ASSERT_EQ(in_place.samples.size(), snapshot.samples.size());
-      for (std::size_t i = 0; i < in_place.samples.size(); ++i) {
-        EXPECT_EQ(in_place.samples[i].connectivity_ok, snapshot.samples[i].connectivity_ok)
-            << "sample " << i;
-        EXPECT_EQ(in_place.samples[i].edges, snapshot.samples[i].edges) << "sample " << i;
-      }
-    }
-  }
-}
-
 TEST(ApiSim, RunDynamicIsDeterministicPerSeed) {
   const scenario_spec spec = churn_scenario();
   const sim_spec dyn = churn_sim();

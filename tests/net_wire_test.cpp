@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 
 #include "api/engine.h"
 #include "api/registry.h"
@@ -180,6 +181,24 @@ TEST(WireTest, MalformedMessagesAreRejected) {
   EXPECT_THROW(wire::decode_message(std::string(100000, '[')), std::invalid_argument);
   EXPECT_THROW(wire::decode_message(R"({"type": "done", "blocks": )" + std::string(100000, '{')),
                std::invalid_argument);
+  // A dynamic request whose sampling would never finish (or never
+  // advance the clock) is refused at decode, before a shard runs it.
+  wire::batch_request req;
+  req.mode = wire::batch_mode::dynamic_runs;
+  req.scenario = *api::find_scenario("paper_table1");
+  req.seeds = {0, 1};
+  req.blocks = {0, 1};
+  for (const auto& [horizon, settle, sample_every] :
+       {std::tuple{120.0, 15.0, 1e-300}, std::tuple{1e300, 15.0, 5.0},
+        std::tuple{1e17, 1e17 - 64.0, 1.0}, std::tuple{-1.0, 15.0, 5.0}}) {
+    req.sim.horizon = horizon;
+    req.sim.settle = settle;
+    req.sim.sample_every = sample_every;
+    const std::string frame = wire::encode_batch_request(req);
+    EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+                 std::invalid_argument)
+        << frame;
+  }
 }
 
 // ---- frame transport over a loopback socket pair -------------------

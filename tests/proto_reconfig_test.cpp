@@ -7,9 +7,11 @@
 
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
+#include "graph/live_index.h"
 #include "graph/traversal.h"
 #include "proto/reconfig.h"
 #include "radio/power_model.h"
+#include "radio/propagation.h"
 #include "sim/failure.h"
 #include "sim/mobility.h"
 
@@ -25,8 +27,9 @@ struct reconfig_net {
   sim::medium medium;
   std::vector<std::unique_ptr<reconfig_agent>> agents;
 
-  explicit reconfig_net(const std::vector<vec2>& positions, reconfig_config cfg = default_config())
-      : medium(simulator, pm) {
+  explicit reconfig_net(const std::vector<vec2>& positions, reconfig_config cfg = default_config(),
+                        const radio::link_model& link = pm)
+      : medium(simulator, link) {
     for (const vec2& p : positions) {
       const node_id id = medium.add_node(p, {});
       agents.push_back(std::make_unique<reconfig_agent>(medium, id, cfg));
@@ -233,6 +236,58 @@ TEST(Reconfig, PartitionRejoinHealsViaBoundaryBeacons) {
   EXPECT_EQ(graph::connected_components(net.live_gr()).count, 1u);
   EXPECT_TRUE(graph::same_connectivity(net.live_topology(), net.live_gr()));
   EXPECT_TRUE(graph::reachable(net.live_topology(), 0, 3));
+}
+
+TEST(Reconfig, ClosureMirrorTracksAgentTables) {
+  // The dynamic engine never re-reads the agents' tables: it keeps the
+  // live symmetric closure in a graph::closure_mirror fed by the
+  // agents' table deltas and the medium's liveness flips. That mirror
+  // must equal the full re-read (live_topology) at every checkpoint,
+  // through crashes, a restart and waypoint mobility, under an
+  // isotropic and a shadowed link.
+  const auto positions = geom::uniform_points(40, geom::bbox::rect(1000, 1000), 29);
+  for (const bool shadowed : {false, true}) {
+    SCOPED_TRACE(shadowed ? "shadowed" : "isotropic");
+    const radio::link_model link =
+        shadowed ? radio::link_model(pm, radio::propagation_model::lognormal_shadowing(4.0, 8.0, 5))
+                 : radio::link_model(pm);
+    reconfig_net net(positions, reconfig_net::default_config(), link);
+    graph::closure_mirror mirror(positions.size());
+    for (node_id u = 0; u < net.agents.size(); ++u) {
+      net.agents[u]->set_table_hook([u, &mirror](node_id v, bool added) {
+        if (added) {
+          mirror.add_arc(u, v);
+        } else {
+          mirror.remove_arc(u, v);
+        }
+      });
+    }
+    net.medium.set_liveness_hook([&mirror](node_id u, bool up) { mirror.set_live(u, up); });
+    net.start(110.0);
+
+    sim::failure_injector inj(net.medium, 3);
+    const auto victims = inj.random_crashes(5, 16.0, 18.0);
+    inj.restart_at(victims.front(), 35.0);
+    sim::random_waypoint rw(net.medium,
+                            {.region = geom::bbox::rect(1000, 1000), .min_speed = 1.0,
+                             .max_speed = 3.0, .pause = 0.0},
+                            31);
+    net.simulator.schedule_at(45.0, [&rw] { rw.start(0.5, 85.0); });
+
+    for (double t = 5.0; t <= 110.0; t += 5.0) {
+      net.simulator.run_until(t);
+      EXPECT_EQ(mirror.live_graph(), net.live_topology()) << "t = " << t;
+    }
+    std::uint64_t leaves = 0;
+    std::uint64_t achanges = 0;
+    for (const auto& a : net.agents) {
+      leaves += a->stats().leaves;
+      achanges += a->stats().achanges;
+    }
+    EXPECT_GT(leaves, 0u);  // the crashes removed table entries
+    EXPECT_GT(achanges, 0u);  // the motion re-angled some
+    EXPECT_GT(net.live_topology().degree(victims.front()), 0u);  // the restart rejoined
+  }
 }
 
 TEST(Reconfig, StationaryNetworkStaysQuiet) {

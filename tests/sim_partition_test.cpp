@@ -210,29 +210,16 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
   EXPECT_EQ(retries.load(), kNodes);
 }
 
-/// The canonical tie policy orders same-time events by their typed
-/// keys (class, then owner), independent of insertion order; fifo
-/// preserves insertion order. Both on the serial simulator.
-TEST(SimPartition, SerialSimulatorTiePolicies) {
+/// The serial simulator orders same-time events by their typed keys
+/// (class, then owner), independent of insertion order.
+TEST(SimPartition, SerialSimulatorOrdersTiesByTypedKey) {
   std::vector<int> order;
-  {
-    sim::simulator s(sim::tie_policy::canonical);
-    s.schedule_delivery(1.0, /*to=*/5, /*from=*/0, 0, 0, [&] { order.push_back(2); });
-    s.schedule_node(1.0, /*owner=*/9, [&] { order.push_back(1); });
-    s.schedule_at(1.0, [&] { order.push_back(0); });
-    s.run_until(2.0);
-  }
+  sim::simulator s;
+  s.schedule_delivery(1.0, /*to=*/5, /*from=*/0, 0, 0, [&] { order.push_back(2); });
+  s.schedule_node(1.0, /*owner=*/9, [&] { order.push_back(1); });
+  s.schedule_at(1.0, [&] { order.push_back(0); });
+  s.run_until(2.0);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));  // class 0 < class 1 < class 2
-
-  order.clear();
-  {
-    sim::simulator s;  // fifo: insertion order at equal times
-    s.schedule_delivery(1.0, 5, 0, 0, 0, [&] { order.push_back(0); });
-    s.schedule_node(1.0, 9, [&] { order.push_back(1); });
-    s.schedule_at(1.0, [&] { order.push_back(2); });
-    s.run_until(2.0);
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 /// Per-region churn telemetry on the live index: every move / erase /
