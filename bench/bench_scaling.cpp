@@ -565,6 +565,62 @@ void run_dynamic_partitioned(benchmark::State& state, std::uint32_t regions, uns
   state.SetComplexityN(state.range(0));
 }
 
+/// One settled-instant connectivity evaluation (both verdicts) on the
+/// closure mirror and live index of a finished range(0)-node
+/// mobile-churn protocol run: the final closure topology, positions
+/// and liveness, with crashed nodes down in both views. The run is
+/// built once per process; each iteration is one
+/// graph::evaluate_connectivity call on the run's 4-wide pool.
+void BM_DynamicEvaluate(benchmark::State& state) {
+  struct settled {
+    graph::live_neighbor_index index;
+    graph::closure_mirror mirror;
+  };
+  static std::map<std::int64_t, settled> cache;
+  auto it = cache.find(state.range(0));
+  if (it == cache.end()) {
+    api::scenario_spec spec = scaling_spec(state.range(0));
+    spec.method = api::method_spec::protocol();
+    spec.protocol.agent.round_timeout = 0.5;
+    spec.protocol.channel.base_delay = 0.01;
+    spec.cbtc.intra_threads = 4;
+    api::sim_spec dyn;
+    dyn.horizon = 6.0;
+    dyn.settle = 3.0;
+    dyn.sample_every = 1.5;
+    dyn.mobility = {.kind = api::mobility_kind::random_waypoint,
+                    .min_speed = 2.0,
+                    .max_speed = 8.0,
+                    .tick = 0.5,
+                    .start = 3.0};
+    dyn.failures.random_crashes = state.range(0) / 100;
+    dyn.failures.window_begin = 3.5;
+    dyn.failures.window_end = 5.5;
+    dyn.partition.regions = 16;
+    const api::dynamic_report rep = eng.run_dynamic(spec, dyn, 0);
+    settled s{graph::live_neighbor_index(rep.final_positions, spec.link(0)),
+              graph::closure_mirror(rep.final_positions.size())};
+    for (graph::node_id u = 0; u < rep.up.size(); ++u) {
+      if (rep.up[u]) continue;
+      s.index.erase(u);
+      s.mirror.set_live(u, false);
+    }
+    for (graph::node_id u = 0; u < rep.final_topology.num_nodes(); ++u) {
+      for (const graph::node_id v : rep.final_topology.neighbors(u)) {
+        if (u < v) s.mirror.add_arc(u, v);
+      }
+    }
+    it = cache.emplace(state.range(0), std::move(s)).first;
+  }
+  util::thread_pool pool(4);
+  graph::connectivity_scratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::evaluate_connectivity(it->second.mirror, it->second.index,
+                                                          scratch, pool));
+  }
+}
+BENCHMARK(BM_DynamicEvaluate)->Arg(20000)->Unit(benchmark::kMillisecond);
+
 void BM_DynamicTickSerial(benchmark::State& state) { run_dynamic_partitioned(state, 1, 1); }
 void BM_DynamicTickPartitioned(benchmark::State& state) {
   run_dynamic_partitioned(state, 16, 4);

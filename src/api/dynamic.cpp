@@ -9,14 +9,16 @@
 // The live max-power graph G_R is never rebuilt from scratch during a
 // run: a graph::live_neighbor_index mirrors the medium through move /
 // liveness hooks (each mobility tick or crash/restart costs
-// O(neighborhood) instead of O(n * k)), and an event-driven union-find
-// connectivity monitor on top of it yields exact disruption windows —
-// connectivity is re-evaluated at every event timestamp that changed
-// the index or an agent's neighbor table, not at sample cadence.
+// O(neighborhood) instead of O(n * k)), and connectivity is
+// re-evaluated in place (graph::evaluate_connectivity) at every event
+// timestamp that changed the index or an agent's neighbor table, not
+// at sample cadence — so disruption windows are exact.
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "api/engine.h"
@@ -111,6 +113,10 @@ bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vecto
 /// presets are draw-free.
 std::uint32_t region_grid_side(const scenario_spec& spec, const sim_spec& sim_cfg,
                                std::size_t nodes) {
+  if (sim_cfg.partition.regions > partition_spec::max_regions) {
+    throw std::invalid_argument("sim.partition.regions must be at most " +
+                                std::to_string(partition_spec::max_regions));
+  }
   const radio::channel_params& ch = spec.protocol.channel;
   if (ch.base_delay <= 0.0 || ch.drop_prob > 0.0 || ch.dup_prob > 0.0 || ch.jitter_max > 0.0 ||
       spec.protocol.direction_noise > 0.0) {
@@ -187,11 +193,9 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   }
 
   // The incremental live G_R: mirrored from the medium through hooks,
-  // never rebuilt. The union-find monitor answers field connectivity
-  // at event granularity. Link-aware: under a non-uniform propagation
-  // model the index maintains exactly the links that close at P.
+  // never rebuilt. Link-aware: under a non-uniform propagation model
+  // the index maintains exactly the links that close at P.
   graph::live_neighbor_index index(positions, link);
-  graph::connectivity_monitor field_monitor(index);
   graph::connectivity_scratch scratch;
 
   // Broadcast routing through the live index: neighbors(u) is exactly
@@ -290,12 +294,13 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   };
 
   // In-place: read the mirror's and the index's adjacency directly —
-  // no per-evaluation graph snapshots on the dense-churn path. Verdict
+  // no per-evaluation graph snapshots on the dense-churn path. Verdicts
   // identical to comparing materialized snapshots (partitions, not
   // representations, decide); asserted in radio_propagation_test.
-  const auto topology_connected = [&] { return graph::same_connectivity(mirror, index, scratch); };
   const auto evaluate_now = [&] {
-    track(simulator.now(), topology_connected(), field_monitor.connected());
+    const graph::connectivity_verdict v =
+        graph::evaluate_connectivity(mirror, index, scratch, pool);
+    track(simulator.now(), v.preserved, v.field_connected);
   };
   // Convergecast data plane (declared before the hooks that mark its
   // routes stale; constructed after the agents exist, below).
@@ -426,8 +431,10 @@ dynamic_report engine::run_dynamic(const scenario_spec& spec, const sim_spec& si
   live_state state;  // last captured state (reused for the final report)
   const auto observe = [&](double t) {
     state = capture_live_state(index, mirror);
-    const dynamic_sample s = measure(state, topology_connected(), field_monitor.connected(),
-                                     medium.positions(), pm.max_range(), t, pool);
+    const graph::connectivity_verdict v =
+        graph::evaluate_connectivity(mirror, index, scratch, pool);
+    const dynamic_sample s =
+        measure(state, v.preserved, v.field_connected, medium.positions(), pm.max_range(), t, pool);
     track(t, s.connectivity_ok, s.field_connected);
     r.samples.push_back(s);
   };

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace cbtc::api::json {
@@ -349,9 +350,17 @@ std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallbac
     // instead of silently truncating them.
     require(v->num >= 0.0 && v->num == std::floor(v->num),
             std::string(key) + " must be a non-negative integer");
+    require(v->num < 0x1p64, std::string(key) + " does not fit in 64 bits");
     out = static_cast<std::uint64_t>(v->num);
   }
   return out;
+}
+
+std::uint32_t get_u32(const jv& obj, std::string_view key, std::uint32_t fallback) {
+  const std::uint64_t out = get_u64(obj, key, fallback);
+  require(out <= std::numeric_limits<std::uint32_t>::max(),
+          std::string(key) + " does not fit in 32 bits");
+  return static_cast<std::uint32_t>(out);
 }
 
 std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback) {

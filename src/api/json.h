@@ -81,6 +81,9 @@ void require(bool cond, const std::string& what);
 /// Exact for plain integer literals; accepts other spellings of an
 /// exact non-negative integer (e.g. 1e3) but rejects fractions.
 [[nodiscard]] std::uint64_t get_u64(const jv& obj, std::string_view key, std::uint64_t fallback);
+/// get_u64 that also rejects values above 2^32 - 1 instead of letting a
+/// narrowing cast wrap them (node ids, region counts).
+[[nodiscard]] std::uint32_t get_u32(const jv& obj, std::string_view key, std::uint32_t fallback);
 [[nodiscard]] std::size_t get_count(const jv& obj, std::string_view key, std::size_t fallback);
 [[nodiscard]] bool get_bool(const jv& obj, std::string_view key, bool fallback);
 [[nodiscard]] std::string get_str(const jv& obj, std::string_view key, std::string fallback);

@@ -19,6 +19,7 @@ using json::get_bool;
 using json::get_count;
 using json::get_num;
 using json::get_str;
+using json::get_u32;
 using json::get_u64;
 using json::jv;
 using json::require;
@@ -497,7 +498,7 @@ sim_spec sim_from_jv(const jv& o) {
   if (const jv* b = get(o, "beacons")) {
     check_keys(*b, "beacons", {"interval", "miss_limit", "achange_threshold", "shrink_back"});
     s.beacons.interval = get_num(*b, "interval", s.beacons.interval);
-    s.beacons.miss_limit = static_cast<std::uint32_t>(get_u64(*b, "miss_limit", s.beacons.miss_limit));
+    s.beacons.miss_limit = get_u32(*b, "miss_limit", s.beacons.miss_limit);
     s.beacons.achange_threshold = get_num(*b, "achange_threshold", s.beacons.achange_threshold);
     s.beacons.shrink_back = get_bool(*b, "shrink_back", s.beacons.shrink_back);
   }
@@ -514,14 +515,17 @@ sim_spec sim_from_jv(const jv& o) {
   }
   if (const jv* part = get(o, "partition")) {
     check_keys(*part, "partition", {"regions", "min_nodes"});
-    s.partition.regions = static_cast<std::uint32_t>(get_u64(*part, "regions", s.partition.regions));
+    s.partition.regions = get_u32(*part, "regions", s.partition.regions);
+    require(s.partition.regions <= partition_spec::max_regions,
+            "sim.partition.regions must be at most " +
+                std::to_string(partition_spec::max_regions));
     s.partition.min_nodes = get_u64(*part, "min_nodes", s.partition.min_nodes);
   }
   if (const jv* t = get(o, "traffic")) {
     check_keys(*t, "traffic", {"period", "sink", "start", "until", "service_time",
                                "route_refresh", "queue_capacity"});
     s.traffic.period = get_num(*t, "period", s.traffic.period);
-    s.traffic.sink = static_cast<graph::node_id>(get_u64(*t, "sink", s.traffic.sink));
+    s.traffic.sink = get_u32(*t, "sink", s.traffic.sink);
     s.traffic.start = get_num(*t, "start", s.traffic.start);
     s.traffic.until = get_num(*t, "until", s.traffic.until);
     s.traffic.service_time = get_num(*t, "service_time", s.traffic.service_time);
@@ -548,7 +552,7 @@ sim_spec sim_from_jv(const jv& o) {
         require(ev.k == jv::kind::object, "each failure event must be an object");
         check_keys(ev, "failure event", {"node", "time", "restart"});
         failure_event e;
-        e.node = static_cast<graph::node_id>(get_u64(ev, "node", 0));
+        e.node = get_u32(ev, "node", 0);
         e.time = get_num(ev, "time", 0.0);
         e.restart = get_bool(ev, "restart", false);
         s.failures.events.push_back(e);
@@ -585,7 +589,7 @@ lifetime_spec lifetime_from_jv(const jv& o) {
     s.policy = parse_lifetime_policy(p->str);
   }
   s.convergecast = get_bool(o, "convergecast", s.convergecast);
-  s.sink = static_cast<graph::node_id>(get_u64(o, "sink", s.sink));
+  s.sink = get_u32(o, "sink", s.sink);
   return s;
 }
 

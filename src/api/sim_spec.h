@@ -89,6 +89,11 @@ struct beacon_spec {
 /// single-queue reference, as does a channel without a positive base
 /// delay (the lookahead).
 struct partition_spec {
+  /// Largest accepted `regions` (a 64 x 64 grid). The scenario parser
+  /// and the CLI reject more before anything is allocated; run_dynamic
+  /// throws std::invalid_argument for a larger programmatic value.
+  static constexpr std::uint32_t max_regions = 4096;
+
   std::uint32_t regions{0};     ///< 0 = auto, 1 = force serial reference
   std::size_t min_nodes{4096};  ///< auto mode engages at this node count
 };

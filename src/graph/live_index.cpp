@@ -118,7 +118,6 @@ void live_neighbor_index::link(node_id u, node_id v) {
   av.insert(std::lower_bound(av.begin(), av.end(), u), u);
   ++num_edges_;
   ++version_;
-  if (observer_) observer_(std::min(u, v), std::max(u, v), true);
 }
 
 void live_neighbor_index::unlink(node_id u, node_id v) {
@@ -128,7 +127,6 @@ void live_neighbor_index::unlink(node_id u, node_id v) {
   av.erase(std::lower_bound(av.begin(), av.end(), u));
   --num_edges_;
   ++version_;
-  if (observer_) observer_(std::min(u, v), std::max(u, v), false);
 }
 
 void live_neighbor_index::move(node_id u, const geom::vec2& p) {
@@ -177,7 +175,6 @@ void live_neighbor_index::erase(node_id u) {
   live_[u] = false;
   --live_count_;
   ++version_;
-  if (node_observer_) node_observer_(u, false);
 }
 
 void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
@@ -192,7 +189,6 @@ void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
   live_[u] = true;
   ++live_count_;
   ++version_;
-  if (node_observer_) node_observer_(u, true);
   scratch_.clear();
   grid_.query_radius_into(p, max_range_, u, scratch_);
   filter_reachable(u, scratch_);
@@ -210,7 +206,7 @@ undirected_graph live_neighbor_index::graph() const {
   return g;
 }
 
-closure_mirror::closure_mirror(std::size_t n) : adj_(n), live_(n, true) {}
+closure_mirror::closure_mirror(std::size_t n) : adj_(n), live_(n, true), live_count_(n) {}
 
 void closure_mirror::add_arc(node_id u, node_id v) {
   if (u == v) return;
@@ -239,7 +235,15 @@ void closure_mirror::remove_arc(node_id u, node_id v) {
   drop(adj_[v], u);
 }
 
-void closure_mirror::set_live(node_id u, bool up) { live_[u] = up; }
+void closure_mirror::set_live(node_id u, bool up) {
+  if (live_[u] == up) return;
+  live_[u] = up;
+  if (up) {
+    ++live_count_;
+  } else {
+    --live_count_;
+  }
+}
 
 undirected_graph closure_mirror::live_graph() const {
   const std::size_t n = adj_.size();
@@ -254,62 +258,117 @@ undirected_graph closure_mirror::live_graph() const {
   return undirected_graph::from_adjacency(std::move(out));
 }
 
-bool same_connectivity(const closure_mirror& topology, const live_neighbor_index& max_power,
-                       connectivity_scratch& scratch) {
-  const std::size_t n = topology.num_nodes();
-  if (n != max_power.num_nodes()) return false;
-  // Both views isolate down nodes: the mirror filters by liveness, the
-  // index drops a node's adjacency on erase. Partitions therefore
-  // match the snapshot comparison's exactly.
-  return same_connectivity_views(
+namespace {
+
+// Union-find over caller-owned scratch: union by size, path halving.
+node_id uf_find(std::vector<node_id>& parent, node_id x) {
+  while (parent[x] != x) {
+    parent[x] = parent[parent[x]];
+    x = parent[x];
+  }
+  return x;
+}
+
+void uf_reset(std::size_t n, std::vector<node_id>& parent, std::vector<std::uint32_t>& size) {
+  parent.resize(n);
+  size.assign(n, 1);
+  for (node_id u = 0; u < n; ++u) parent[u] = u;
+}
+
+/// Merges the sets of `a` and `b`; false when they already shared one.
+bool uf_unite(std::vector<node_id>& parent, std::vector<std::uint32_t>& size, node_id a,
+              node_id b) {
+  a = uf_find(parent, a);
+  b = uf_find(parent, b);
+  if (a == b) return false;
+  if (size[a] < size[b]) std::swap(a, b);
+  parent[b] = a;
+  size[a] += size[b];
+  return true;
+}
+
+/// Forest of an adjacency view `view(u, emit)` (every edge visible from
+/// both endpoints), flattened so parent[u] is u's root. Returns the
+/// number of components, isolated nodes included.
+template <class NeighborView>
+std::size_t build_forest(std::size_t n, NeighborView&& view, std::vector<node_id>& parent,
+                         std::vector<std::uint32_t>& size) {
+  uf_reset(n, parent, size);
+  std::size_t sets = n;
+  for (node_id u = 0; u < n; ++u) {
+    view(u, [&](node_id v) {
+      if (v > u && uf_unite(parent, size, u, v)) --sets;
+    });
+  }
+  for (node_id u = 0; u < n; ++u) parent[u] = uf_find(parent, u);
+  return sets;
+}
+
+}  // namespace
+
+connectivity_verdict evaluate_connectivity(const closure_mirror& topology,
+                                           const live_neighbor_index& max_power,
+                                           connectivity_scratch& scratch,
+                                           util::thread_pool& pool) {
+  const std::size_t n = max_power.num_nodes();
+  const std::size_t live = max_power.live_count();
+  const bool comparable = topology.num_nodes() == n;
+
+  // Spanning certificate over closure ∩ G_R. Its edges join nodes live
+  // in both views, so once they reach every index-live node, equal
+  // live counts make the two live sets equal and both verdicts hold.
+  // The membership tests (the bulk of the work) run per node block on
+  // the pool; the union-find over the surviving edges is serial.
+  if (comparable && topology.live_count() == live) {
+    auto& blocks = scratch.edge_blocks;
+    blocks.resize((n + util::reduce_block - 1) / util::reduce_block);
+    pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t hi) {
+      std::vector<std::pair<node_id, node_id>>& out = blocks[lo / util::reduce_block];
+      out.clear();
+      for (auto u = static_cast<node_id>(lo); u < hi; ++u) {
+        const std::span<const node_id> gr = max_power.neighbors(u);
+        if (gr.empty()) continue;
+        topology.for_each_live_neighbor(u, [&](node_id v) {
+          if (v > u && std::binary_search(gr.begin(), gr.end(), v)) out.emplace_back(u, v);
+        });
+      }
+    });
+    uf_reset(n, scratch.root_a, scratch.size_a);
+    std::size_t sets = live;
+    for (const auto& block : blocks) {
+      for (const auto& [u, v] : block) {
+        if (uf_unite(scratch.root_a, scratch.size_a, u, v)) --sets;
+      }
+    }
+    if (sets <= 1) return {.preserved = true, .field_connected = true};
+  }
+
+  // One pass over G_R. Down nodes have no index edges, so they are
+  // exactly the n - live singletons beside the live components.
+  connectivity_verdict out;
+  const std::size_t gr_sets = build_forest(
       n,
-      [&](node_id u, auto&& emit) { topology.for_each_live_neighbor(u, emit); },
       [&](node_id u, auto&& emit) {
         for (const node_id v : max_power.neighbors(u)) emit(v);
       },
-      scratch);
-}
+      scratch.root_b, scratch.size_b);
+  out.field_connected = live <= 1 || gr_sets - (n - live) == 1;
+  if (!comparable) return out;
 
-connectivity_monitor::connectivity_monitor(live_neighbor_index& index)
-    : index_(index), uf_(index.num_nodes()) {
-  index_.set_observer([this](node_id u, node_id v, bool added) {
-    if (added) {
-      if (!stale_) uf_.unite(u, v);
-    } else {
-      stale_ = true;  // union-find cannot un-merge; rebuild lazily
-    }
-  });
-  index_.set_node_observer([this](node_id, bool) {
-    // A crash orphans its old unions; a restart revives a node whose
-    // stale root may predate its crash. Both invalidate the forest.
-    stale_ = true;
-  });
-}
-
-void connectivity_monitor::rebuild() {
-  uf_ = union_find(index_.num_nodes());
-  for (node_id u = 0; u < index_.num_nodes(); ++u) {
-    if (!index_.is_live(u)) continue;
-    for (const node_id v : index_.neighbors(u)) {
-      if (u < v) uf_.unite(u, v);
-    }
+  // Partition equality: equal component counts + "the closure refines
+  // G_R" (every closure edge stays inside one G_R component).
+  const std::size_t closure_sets = build_forest(
+      n, [&](node_id u, auto&& emit) { topology.for_each_live_neighbor(u, emit); },
+      scratch.root_a, scratch.size_a);
+  if (closure_sets != gr_sets) return out;
+  bool within = true;
+  for (node_id u = 0; u < n && within; ++u) {
+    topology.for_each_live_neighbor(u, [&](node_id v) {
+      if (v > u && scratch.root_b[u] != scratch.root_b[v]) within = false;
+    });
   }
-  stale_ = false;
-}
-
-bool connectivity_monitor::connected() {
-  if (index_.live_count() <= 1) return true;
-  if (stale_) rebuild();
-  node_id first = invalid_node;
-  for (node_id u = 0; u < index_.num_nodes(); ++u) {
-    if (!index_.is_live(u)) continue;
-    if (first == invalid_node) {
-      first = u;
-    } else if (!uf_.same(u, first)) {
-      return false;
-    }
-  }
-  return true;
+  out.preserved = within;
+  return out;
 }
 
 }  // namespace cbtc::graph

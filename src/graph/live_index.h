@@ -10,18 +10,16 @@
 // same inclusive <= comparison (tests assert edge identity after
 // arbitrary event sequences).
 //
-// connectivity_monitor sits on top and answers "is the live field one
-// component?" at event granularity: edge additions are united into a
-// union-find immediately; removals (and liveness changes) mark it
-// stale and the next query rebuilds from the maintained adjacency —
-// O(n + m) without any geometry, far cheaper than a graph rebuild.
-// This is what turns sample-granularity partition detection into
-// exact disruption windows.
+// evaluate_connectivity (below) answers both questions a dynamic run
+// asks at every changed instant — "is the live field one component?"
+// and "does the closure topology preserve its partition?" — straight
+// from the maintained adjacency, O(n + m) without any geometry, far
+// cheaper than a graph rebuild. This is what turns sample-granularity
+// partition detection into exact disruption windows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -31,17 +29,13 @@
 #include "graph/graph.h"
 #include "graph/traversal.h"
 #include "graph/types.h"
-#include "graph/union_find.h"
 #include "radio/propagation.h"
+#include "util/parallel.h"
 
 namespace cbtc::graph {
 
 class live_neighbor_index {
  public:
-  /// Called for every edge delta: (u, v, true) when {u, v} appears,
-  /// (u, v, false) when it disappears. u < v always.
-  using edge_observer = std::function<void(node_id, node_id, bool)>;
-
   /// Builds the index over `positions`, all nodes initially up.
   live_neighbor_index(std::span<const geom::vec2> positions, double max_range);
 
@@ -69,7 +63,7 @@ class live_neighbor_index {
 
   /// Bumped by every edge delta and liveness flip. A move that left
   /// the version unchanged provably changed neither the live G_R nor
-  /// the live set, so observers can skip re-evaluating connectivity.
+  /// the live set, so callers can skip re-evaluating connectivity.
   [[nodiscard]] std::uint64_t version() const { return version_; }
   [[nodiscard]] const geom::vec2& position(node_id u) const { return positions_[u]; }
 
@@ -79,14 +73,6 @@ class live_neighbor_index {
   /// Snapshot as an undirected_graph (down nodes isolated); edge-set
   /// identical to build_max_power_graph(positions, R).induced(up).
   [[nodiscard]] undirected_graph graph() const;
-
-  /// Installs the (single) edge observer. Pass {} to detach.
-  void set_observer(edge_observer obs) { observer_ = std::move(obs); }
-
-  /// Called after a liveness flip: (u, true) on insert, (u, false) on
-  /// erase. Edge deltas for the flip arrive through the edge observer.
-  using node_observer = std::function<void(node_id, bool)>;
-  void set_node_observer(node_observer obs) { node_observer_ = std::move(obs); }
 
   /// Gain-cache telemetry (always zero for distance indexes): every
   /// per-link filter is one lookup; misses are the lookups that had to
@@ -159,8 +145,6 @@ class live_neighbor_index {
   std::size_t live_count_{0};
   std::size_t num_edges_{0};
   std::vector<std::vector<node_id>> adj_;  // sorted, live endpoints only
-  edge_observer observer_;
-  node_observer node_observer_;
   void note_churn(node_id u) {
     if (u < region_map_.size()) ++region_churn_[region_map_[u]];
   }
@@ -201,13 +185,14 @@ class closure_mirror {
 
   [[nodiscard]] std::size_t num_nodes() const { return live_.size(); }
   [[nodiscard]] bool is_live(node_id u) const { return live_[u]; }
+  [[nodiscard]] std::size_t live_count() const { return live_count_; }
 
   /// The live symmetric closure: nodes that are down are isolated.
   [[nodiscard]] undirected_graph live_graph() const;
 
   /// Calls `f(v)` for every live neighbor of `u` (ascending v; nothing
   /// when `u` is down). This is the in-place adjacency view the
-  /// connectivity comparison below reads — no snapshot graph needed.
+  /// connectivity evaluation below reads — no snapshot graph needed.
   template <class F>
   void for_each_live_neighbor(node_id u, F&& f) const {
     if (!live_[u]) return;
@@ -224,37 +209,37 @@ class closure_mirror {
 
   std::vector<std::vector<entry>> adj_;  // sorted by v
   std::vector<bool> live_;
+  std::size_t live_count_;
 };
 
-/// In-place connectivity-preservation check: compares the partition of
-/// the mirrored closure topology against the live G_R index without
-/// materializing either graph — the allocation-free path the dynamic
-/// engine runs at every topology-changing event (dense-churn runs used
-/// to copy both graphs per evaluation). Verdict identical to
-/// same_connectivity(mirror.live_graph(), index.graph(), ...).
-[[nodiscard]] bool same_connectivity(const closure_mirror& topology,
-                                     const live_neighbor_index& max_power,
-                                     connectivity_scratch& scratch);
-
-/// Event-driven union-find connectivity monitor over a
-/// live_neighbor_index (see header comment). Installs itself as the
-/// index's edge observer; the index must outlive the monitor.
-class connectivity_monitor {
- public:
-  explicit connectivity_monitor(live_neighbor_index& index);
-
-  /// True when every live node lies in one component of the live G_R
-  /// (trivially true for fewer than two live nodes). Amortized O(1)
-  /// while edges only appear; O(n + m) rebuild after a removal.
-  [[nodiscard]] bool connected();
-
- private:
-  void rebuild();
-
-  live_neighbor_index& index_;
-  union_find uf_;
-  std::size_t live_at_build_{0};
-  bool stale_{true};
+/// Both connectivity verdicts of one settled instant.
+struct connectivity_verdict {
+  /// The closure topology has the live G_R's partition (the paper's
+  /// preservation property) — same verdict as
+  /// same_connectivity(topology.live_graph(), max_power.graph()).
+  bool preserved{false};
+  /// Every live node lies in one component of the live G_R (trivially
+  /// true for fewer than two live nodes).
+  bool field_connected{false};
 };
+
+/// Evaluates both verdicts in place, reading the mirror's and the
+/// index's adjacency without materializing either graph — the
+/// allocation-free path the dynamic engine runs at every
+/// topology-changing instant.
+///
+/// The common case is settled by a spanning certificate: a union-find
+/// over the closure edges that are also live G_R edges (checked by
+/// binary search in the sorted index adjacency, in fixed node blocks
+/// on `pool`; the verdicts do not depend on its width). When those edges
+/// connect every live node of both views, they form a connected
+/// spanning subgraph of each, so the field is connected and both
+/// partitions are {live nodes} plus down singletons — both verdicts
+/// true without touching the rest of G_R. Otherwise one union-find pass
+/// over G_R yields the field verdict and, against the closure's forest,
+/// the partition comparison.
+[[nodiscard]] connectivity_verdict evaluate_connectivity(
+    const closure_mirror& topology, const live_neighbor_index& max_power,
+    connectivity_scratch& scratch, util::thread_pool& pool = util::serial_pool());
 
 }  // namespace cbtc::graph

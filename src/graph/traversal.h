@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -35,15 +36,18 @@ struct component_labels {
 /// True if u and v are in the same component.
 [[nodiscard]] bool reachable(const undirected_graph& g, node_id u, node_id v);
 
-/// Reusable buffers for same_connectivity: two disjoint-set forests.
-/// Event-driven callers (the dynamic engine evaluates connectivity at
-/// every topology-changing event) hold one across calls so the
-/// comparison performs no allocations after the first use.
+/// Reusable buffers for same_connectivity and
+/// graph::evaluate_connectivity: two disjoint-set forests, plus the
+/// latter's certificate edges per node block. Event-driven callers (the
+/// dynamic engine evaluates connectivity at every topology-changing
+/// event) hold one across calls so the comparison performs no
+/// allocations after the first use.
 struct connectivity_scratch {
   std::vector<node_id> root_a;
   std::vector<node_id> root_b;
   std::vector<std::uint32_t> size_a;
   std::vector<std::uint32_t> size_b;
+  std::vector<std::vector<std::pair<node_id, node_id>>> edge_blocks;
 };
 
 /// True if `a` and `b` have identical component *partitions* — the
@@ -66,74 +70,6 @@ struct connectivity_scratch {
 /// parallel phase only reads). Identical verdict for any pool width.
 [[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
                                      util::thread_pool& pool, connectivity_scratch& scratch);
-
-// ---- adjacency-view comparison --------------------------------------
-// same_connectivity without materializing graphs: callers that hold an
-// incremental adjacency (graph::closure_mirror, live_neighbor_index)
-// compare partitions in place instead of snapshotting two
-// undirected_graphs per evaluation. A view is a callable
-// `view(u, emit)` invoking `emit(v)` for every neighbor v of u (each
-// edge visible from both endpoints). The verdict is identical to the
-// graph overloads: partitions — not forest shapes — decide.
-
-namespace detail {
-
-inline node_id view_uf_find(std::vector<node_id>& parent, node_id x) {
-  while (parent[x] != x) {
-    parent[x] = parent[parent[x]];  // path halving
-    x = parent[x];
-  }
-  return x;
-}
-
-template <class NeighborView>
-std::size_t view_uf_build(std::size_t n, NeighborView&& view, std::vector<node_id>& parent,
-                          std::vector<std::uint32_t>& size) {
-  parent.resize(n);
-  size.assign(n, 1);
-  for (node_id u = 0; u < n; ++u) parent[u] = u;
-  std::size_t sets = n;
-  for (node_id u = 0; u < n; ++u) {
-    view(u, [&](node_id v) {
-      if (v <= u) return;  // each edge once
-      node_id ra = view_uf_find(parent, u);
-      node_id rb = view_uf_find(parent, v);
-      if (ra == rb) return;
-      if (size[ra] < size[rb]) {
-        const node_id t = ra;
-        ra = rb;
-        rb = t;
-      }
-      parent[rb] = ra;
-      size[ra] += size[rb];
-      --sets;
-    });
-  }
-  for (node_id u = 0; u < n; ++u) parent[u] = view_uf_find(parent, u);
-  return sets;
-}
-
-}  // namespace detail
-
-/// Partition equality of two adjacency views over the same node set
-/// (see above). Allocation-free after the first use of `scratch`.
-template <class ViewA, class ViewB>
-[[nodiscard]] bool same_connectivity_views(std::size_t n, ViewA&& a, ViewB&& b,
-                                           connectivity_scratch& scratch) {
-  if (detail::view_uf_build(n, a, scratch.root_a, scratch.size_a) !=
-      detail::view_uf_build(n, b, scratch.root_b, scratch.size_b)) {
-    return false;
-  }
-  // Equal component counts + "a refines b" force partition equality
-  // (same argument as the graph overloads).
-  bool within = true;
-  for (node_id u = 0; u < n && within; ++u) {
-    a(u, [&](node_id v) {
-      if (v > u && scratch.root_b[u] != scratch.root_b[v]) within = false;
-    });
-  }
-  return within;
-}
 
 /// Shortest path in hops from `from` to `to`; empty if unreachable.
 /// The returned path includes both endpoints.

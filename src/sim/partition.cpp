@@ -1,6 +1,8 @@
 #include "sim/partition.h"
 
+#include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace cbtc::sim {
@@ -41,7 +43,19 @@ void partitioned_simulator::schedule_at(time_point t, action fn) {
   // parallel phase would be a synchronization bug in the caller.
   assert(t_active_sim != this && "class-0 events must not be scheduled from handlers");
   if (t < now_) t = now_;
-  main_.push({event_key{t, 0, 0, 0, global_seq_++, 0}, std::move(fn)});
+  global_.push({event_key{t, 0, 0, 0, global_seq_++, 0}, std::move(fn)});
+}
+
+void partitioned_simulator::append(bucket& b, event&& ev) {
+  if (b.empty() || b.back().size() == chunk_events) {
+    if (free_chunks_.empty()) {
+      b.emplace_back().reserve(chunk_events);
+    } else {
+      b.push_back(std::move(free_chunks_.back()));
+      free_chunks_.pop_back();
+    }
+  }
+  b.back().push_back(std::move(ev));
 }
 
 void partitioned_simulator::schedule_node(time_point t, graph::node_id owner, action fn) {
@@ -61,7 +75,7 @@ void partitioned_simulator::schedule_node(time_point t, graph::node_id owner, ac
     return;
   }
   if (owner >= node_seq_.size()) node_seq_.resize(owner + 1, 0);
-  main_.push({event_key{t, 1, owner, 0, node_seq_[owner]++, 0}, std::move(fn)});
+  append(buckets_[t], {event_key{t, 1, owner, 0, node_seq_[owner]++, 0}, std::move(fn)});
 }
 
 void partitioned_simulator::schedule_delivery(time_point t, graph::node_id to,
@@ -75,51 +89,77 @@ void partitioned_simulator::schedule_delivery(time_point t, graph::node_id to,
     lanes_[t_region].outbox.push_back({event_key{t, 2, to, from, tx_seq, copy}, std::move(fn)});
     return;
   }
-  main_.push({event_key{t, 2, to, from, tx_seq, copy}, std::move(fn)});
+  append(buckets_[t], {event_key{t, 2, to, from, tx_seq, copy}, std::move(fn)});
 }
 
 void partitioned_simulator::drain_lane(std::uint32_t r) {
   lane& L = lanes_[r];
   t_active_sim = this;
   t_region = r;
+  // The batch arrives in bucket order; sorting it here, inside the
+  // parallel phase, restores the canonical key order per lane. Events
+  // the handlers add for this instant join through the `ready` heap.
+  std::sort(L.batch.begin(), L.batch.end(),
+            [](const event& a, const event& b) { return a.key < b.key; });
   std::uint64_t n = 0;
-  while (!L.ready.empty()) {
-    event ev = std::move(const_cast<event&>(L.ready.top()));
-    L.ready.pop();
-    ev.fn();
+  std::size_t next = 0;
+  for (;;) {
+    action fn;
+    if (next < L.batch.size() && (L.ready.empty() || L.batch[next].key < L.ready.top().key)) {
+      fn = std::move(L.batch[next++].fn);
+    } else if (!L.ready.empty()) {
+      fn = std::move(const_cast<event&>(L.ready.top()).fn);
+      L.ready.pop();
+    } else {
+      break;
+    }
+    fn();
     ++n;
   }
+  L.batch.clear();
   t_active_sim = nullptr;
   L.executed = n;
   region_events_[r] += n;
 }
 
+time_point partitioned_simulator::next_instant() const {
+  time_point t = std::numeric_limits<time_point>::infinity();
+  if (!global_.empty()) t = global_.top().key.t;
+  if (!buckets_.empty()) t = std::min(t, buckets_.begin()->first);
+  return t;
+}
+
 void partitioned_simulator::step_instant() {
-  const time_point t0 = main_.top().key.t;
+  const time_point t0 = next_instant();
   now_ = t0;
   ++stats_.instants;
 
   // 1. Serial class-0 prefix: global state (positions, liveness,
   // region membership) settles before any handler runs.
-  while (!main_.empty() && main_.top().key.t <= t0 && main_.top().key.cls == 0) {
-    event ev = std::move(const_cast<event&>(main_.top()));
-    main_.pop();
+  while (!global_.empty() && global_.top().key.t <= t0) {
+    event ev = std::move(const_cast<event&>(global_.top()));
+    global_.pop();
     ++processed_;
     ++stats_.serial_events;
     ev.fn();
   }
 
-  // 2. Route the instant's class-1/2 events to lanes by the current
+  // 2. Hand the instant's class-1/2 bucket to lanes by the current
   // region map (a node that just migrated takes its timers with it).
   std::size_t batch = 0;
   active_.clear();
-  while (!main_.empty() && main_.top().key.t <= t0) {
-    event ev = std::move(const_cast<event&>(main_.top()));
-    main_.pop();
-    const std::uint32_t r = region_of_[ev.key.a];
-    if (lanes_[r].ready.empty()) active_.push_back(r);
-    lanes_[r].ready.push(std::move(ev));
-    ++batch;
+  if (!buckets_.empty() && buckets_.begin()->first <= t0) {
+    for (chunk& c : buckets_.begin()->second) {
+      batch += c.size();
+      for (event& ev : c) {
+        const std::uint32_t r = region_of_[ev.key.a];
+        if (lanes_[r].batch.empty()) active_.push_back(r);
+        lanes_[r].batch.push_back(std::move(ev));
+      }
+      c.clear();
+      free_chunks_.push_back(std::move(c));
+    }
+    buckets_.erase(buckets_.begin());
   }
 
   if (batch > 0) {
@@ -138,12 +178,21 @@ void partitioned_simulator::step_instant() {
     }
     in_phase_ = false;
 
-    // 4. Barrier: merge outboxes into the main queue (keys are unique,
-    // so merge order is irrelevant) and let the engine flush its
-    // deferred per-region state.
+    // 4. Barrier: append outboxes to their instants' buckets (keys
+    // are unique and lanes sort their batches, so append order is
+    // irrelevant) and let the engine flush its deferred per-region
+    // state.
     for (const std::uint32_t r : active_) {
       lane& L = lanes_[r];
-      for (event& ev : L.outbox) main_.push(std::move(ev));
+      bucket* last = nullptr;
+      time_point last_t = 0.0;
+      for (event& ev : L.outbox) {
+        if (last == nullptr || ev.key.t != last_t) {
+          last = &buckets_[ev.key.t];
+          last_t = ev.key.t;
+        }
+        append(*last, std::move(ev));
+      }
       L.outbox.clear();
       processed_ += L.executed;
       stats_.parallel_events += L.executed;
@@ -161,7 +210,7 @@ void partitioned_simulator::step_instant() {
 
 std::size_t partitioned_simulator::run_until(time_point t) {
   const std::size_t before = processed_;
-  while (!main_.empty() && main_.top().key.t <= t) step_instant();
+  while (!idle() && next_instant() <= t) step_instant();
   if (now_ < t) now_ = t;
   return processed_ - before;
 }

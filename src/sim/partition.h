@@ -10,20 +10,25 @@
 // one event instant, and the engine processes the timeline instant by
 // instant:
 //
-//   1. class-0 (global) events at t run serially, in key order —
-//      positions, liveness, and the live-neighbor index mutate only
-//      here;
-//   2. the instant's class-1/2 events are routed to per-region lanes
-//      by the *current* region_of (so a node that just migrated takes
-//      its pending timers with it);
-//   3. lanes drain concurrently on the shared executor, each in key
-//      order. Handlers may self-schedule same-instant events (retry
-//      staggers) — those land in the executing lane, which is provably
-//      the owner's lane — and future events (timers, deliveries at
-//      t + delta or later), which go to a per-lane outbox;
-//   4. barrier: outboxes merge back into the main queue (order
-//      irrelevant — keys are unique), then the barrier hook runs
-//      (the dynamic engine flushes buffered topology-mirror deltas);
+//   1. class-0 (global) events at t run serially, in key order, from
+//      their own small heap — positions, liveness, and the
+//      live-neighbor index mutate only here;
+//   2. class-1/2 events wait in per-instant buckets keyed by their
+//      exact time (appending is the whole cost of scheduling one). The
+//      instant's bucket is handed to per-region lanes by the *current*
+//      region_of (so a node that just migrated takes its pending
+//      timers with it);
+//   3. lanes drain concurrently on the shared executor. Each lane
+//      first sorts its batch by event_key, then runs it merged with a
+//      same-instant heap: handlers may self-schedule same-instant
+//      events (retry staggers) — those land in the executing lane's
+//      heap, which is provably the owner's lane — and future events
+//      (timers, deliveries at t + delta or later), which go to a
+//      per-lane outbox;
+//   4. barrier: outboxes are appended to their instants' buckets
+//      (order irrelevant — keys are unique and every lane sorts its
+//      batch), then the barrier hook runs (the dynamic engine flushes
+//      buffered topology-mirror deltas);
 //   5. if any handler requested it, the instant hook runs (settled-
 //      instant connectivity evaluation).
 //
@@ -36,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -94,7 +100,7 @@ class partitioned_simulator final : public scheduler {
   [[nodiscard]] static std::uint32_t current_region();
 
   [[nodiscard]] std::size_t events_processed() const override { return processed_; }
-  [[nodiscard]] bool idle() const { return main_.empty(); }
+  [[nodiscard]] bool idle() const { return global_.empty() && buckets_.empty(); }
   [[nodiscard]] const partition_stats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<std::uint64_t>& region_events() const { return region_events_; }
 
@@ -109,15 +115,28 @@ class partitioned_simulator final : public scheduler {
   using event_queue = std::priority_queue<event, std::vector<event>, later>;
 
   struct alignas(64) lane {
-    event_queue ready;          // this instant's events, drained in key order
+    std::vector<event> batch;   // this instant's routed events, sorted in the phase
+    event_queue ready;          // same-instant events created during the phase
     std::vector<event> outbox;  // future events created during the phase
     std::uint64_t executed{0};
   };
 
+  /// An instant's class-1/2 events, stored as a list of chunks of at
+  /// most chunk_events events. Chunks come from a shared free list, so
+  /// storage is recycled across instants without any bucket holding
+  /// more than it needs.
+  using chunk = std::vector<event>;
+  using bucket = std::vector<chunk>;
+  static constexpr std::size_t chunk_events = 1024;
+
+  void append(bucket& b, event&& ev);
+  [[nodiscard]] time_point next_instant() const;
   void step_instant();
   void drain_lane(std::uint32_t r);
 
-  event_queue main_;  // mutated only outside parallel phases
+  event_queue global_;  // class-0 events; mutated only outside parallel phases
+  std::map<time_point, bucket> buckets_;  // class-1/2 events by instant
+  std::vector<chunk> free_chunks_;
   std::vector<lane> lanes_;
   std::vector<std::uint32_t> region_of_;
   std::vector<std::uint64_t> node_seq_;

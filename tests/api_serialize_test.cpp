@@ -253,6 +253,15 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
            // The retired mirror toggle is ignored but still type-checked.
            R"({"mirror_agent_tables": "yes"})",
            R"({"mirror_agent_tables": 1})",
+           // Region counts are bounded (a 10000 x 10000 lane grid would
+           // exhaust memory) and never narrowed: 2^32 + 16 is not 16.
+           R"({"partition": {"regions": 4097}})",
+           R"({"partition": {"regions": 100000000}})",
+           R"({"partition": {"regions": 4294967312}})",
+           R"({"partition": {"regions": 1e30}})",
+           // Node ids that do not fit in 32 bits are rejected, not wrapped.
+           R"({"traffic": {"period": 1, "sink": 4294967299}})",
+           R"({"failures": {"events": [{"node": 4294967296, "time": 1}]}})",
        }) {
     EXPECT_THROW(parse_scenario_json(std::string(R"({"scenario": {}, "sim": )") + sim + "}"),
                  std::invalid_argument)
@@ -264,6 +273,12 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
                                  std::to_string(sim_spec::max_samples - 2) +
                                  R"(, "settle": 0, "sample_every": 1}})";
   EXPECT_NO_THROW((void)parse_scenario_json(sample_cap));
+  // The region cap itself still parses.
+  const scenario_file region_cap = parse_scenario_json(
+      R"({"scenario": {}, "sim": {"partition": {"regions": )" +
+      std::to_string(partition_spec::max_regions) + "}}}");
+  ASSERT_TRUE(region_cap.sim.has_value());
+  EXPECT_EQ(region_cap.sim->partition.regions, partition_spec::max_regions);
   // Exact integers in scientific notation are still fine.
   const scenario_file sci =
       parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1e2}}})");

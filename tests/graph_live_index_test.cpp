@@ -1,8 +1,10 @@
 // The incremental live-neighbor index must be indistinguishable from a
 // fresh max-power graph build: after ANY sequence of moves, crashes,
 // and restarts, its edge set equals
-// build_max_power_graph(positions).induced(up), and the event-driven
-// union-find monitor agrees with component analysis of that graph.
+// build_max_power_graph(positions).induced(up), and the in-place
+// connectivity evaluation agrees with component analysis of that graph
+// (field verdict) and with the snapshot partition comparison against a
+// closure mirror (preservation verdict).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -84,14 +86,43 @@ TEST(LiveIndex, MoveAcrossTheFieldRewiresNeighborhoods) {
   }
 }
 
+/// Closure mirror seeded with every initial G_R edge plus a few
+/// arbitrary arcs; it stays fixed while the index churns, so the
+/// preservation verdict flips both ways along a churn script.
+closure_mirror seeded_mirror(const live_neighbor_index& index, std::uint64_t seed) {
+  closure_mirror mirror(index.num_nodes());
+  for (node_id u = 0; u < index.num_nodes(); ++u) {
+    for (const node_id v : index.neighbors(u)) {
+      if (u < v) mirror.add_arc(u, v);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::size_t> pick(0, index.num_nodes() - 1);
+  for (int arc = 0; arc < 3; ++arc) {
+    mirror.add_arc(static_cast<node_id>(pick(rng)), static_cast<node_id>(pick(rng)));
+  }
+  return mirror;
+}
+
+void expect_evaluation_matches_reference(const closure_mirror& mirror,
+                                         const live_neighbor_index& index,
+                                         const undirected_graph& expected,
+                                         const std::vector<bool>& up,
+                                         connectivity_scratch& scratch) {
+  const connectivity_verdict v = evaluate_connectivity(mirror, index, scratch);
+  EXPECT_EQ(v.field_connected, reference_field_connected(expected, up));
+  EXPECT_EQ(v.preserved, same_connectivity(mirror.live_graph(), index.graph()));
+}
+
 /// The property test the tentpole asks for: random mobility / crash /
-/// restart sequences, with edge-identity and monitor agreement checked
-/// after every batch of events.
+/// restart sequences, with edge-identity and evaluation agreement
+/// checked after every batch of events.
 TEST(LiveIndex, RandomChurnStaysEdgeIdenticalToFreshBuild) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const auto positions = deployment(50, 100 + seed);
     live_neighbor_index index(positions, kRange);
-    connectivity_monitor monitor(index);
+    closure_mirror mirror = seeded_mirror(index, seed);
+    connectivity_scratch scratch;
     std::vector<geom::vec2> current = positions;
     std::vector<bool> up(positions.size(), true);
 
@@ -112,39 +143,46 @@ TEST(LiveIndex, RandomChurnStaysEdgeIdenticalToFreshBuild) {
         index.move(u, current[u]);
       } else if (up[u]) {  // crash
         index.erase(u);
+        mirror.set_live(u, false);
         up[u] = false;
       } else {  // restart where the node meanwhile drifted
         index.insert(u, current[u]);
+        mirror.set_live(u, true);
         up[u] = true;
       }
 
       if (step % 10 == 0 || step + 1 == 300) {
         const undirected_graph expected = reference_graph(current, up);
         ASSERT_EQ(index.graph(), expected) << "seed " << seed << " step " << step;
-        ASSERT_EQ(monitor.connected(), reference_field_connected(expected, up))
-            << "seed " << seed << " step " << step;
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+        expect_evaluation_matches_reference(mirror, index, expected, up, scratch);
       }
     }
   }
 }
 
-TEST(LiveIndex, MonitorIsIncrementalOnPureEdgeAdditions) {
+TEST(LiveIndex, EvaluationMatchesReferenceOnPureEdgeAdditions) {
   // Start fully crashed, then bring nodes up one at a time: every edge
-  // arrives as an addition, so the monitor unions incrementally and
-  // must agree with the reference at each stage.
+  // arrives as an addition, and the evaluation must agree with the
+  // reference at each stage — through fields that are split (fallback
+  // pass) and fields the closure spans (certificate).
   const auto positions = deployment(40, 3);
   live_neighbor_index index(positions, kRange);
-  connectivity_monitor monitor(index);
+  closure_mirror mirror = seeded_mirror(index, 3);
+  connectivity_scratch scratch;
   std::vector<bool> up(positions.size(), true);
   for (node_id u = 0; u < positions.size(); ++u) {
     index.erase(u);
+    mirror.set_live(u, false);
     up[u] = false;
   }
   for (node_id u = 0; u < positions.size(); ++u) {
     index.insert(u, positions[u]);
+    mirror.set_live(u, true);
     up[u] = true;
-    ASSERT_EQ(monitor.connected(), reference_field_connected(reference_graph(positions, up), up))
-        << "after insert " << u;
+    SCOPED_TRACE(::testing::Message() << "after insert " << u);
+    expect_evaluation_matches_reference(mirror, index, reference_graph(positions, up), up,
+                                        scratch);
   }
 }
 

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "api/engine.h"
 #include "api/registry.h"
@@ -195,6 +196,30 @@ TEST(WireTest, MalformedMessagesAreRejected) {
     req.sim.settle = settle;
     req.sim.sample_every = sample_every;
     const std::string frame = wire::encode_batch_request(req);
+    EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+                 std::invalid_argument)
+        << frame;
+  }
+  // Region counts and sink ids are refused at decode too: an oversized
+  // lane grid must not be allocated, and values past 32 bits must not
+  // wrap to small ones (2^32 + 16 regions, 2^32 + 3 as the sink).
+  req.sim = api::sim_spec{};
+  req.sim.partition.regions = 100000000;
+  const std::string huge = wire::encode_batch_request(req);
+  EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(huge)),
+               std::invalid_argument);
+  req.sim.partition.regions = 16;
+  req.sim.traffic.period = 1.0;
+  req.sim.traffic.sink = 3;
+  const std::string valid = wire::encode_batch_request(req);
+  EXPECT_NO_THROW((void)wire::decode_batch_request(wire::decode_message(valid)));
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{R"("regions": 16,)", R"("regions": 4294967312,)"},
+        {R"("sink": 3,)", R"("sink": 4294967299,)"}}) {
+    std::string frame = valid;
+    const std::size_t at = frame.find(from);
+    ASSERT_NE(at, std::string::npos) << frame;
+    frame.replace(at, from.size(), to);
     EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
                  std::invalid_argument)
         << frame;

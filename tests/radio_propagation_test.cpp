@@ -25,6 +25,7 @@
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
+#include "graph/traversal.h"
 #include "radio/propagation.h"
 #include "sim/medium.h"
 #include "sim/simulator.h"
@@ -399,13 +400,64 @@ TEST(Propagation, MediumDeliveryAndEstimateFollowLinkBudget) {
               through * 1e-9);
 }
 
-// ---- in-place mirror connectivity (adjacency views) -----------------
+// ---- in-place connectivity evaluation ------------------------------
+
+/// Both verdicts recomputed from materialized snapshots.
+graph::connectivity_verdict snapshot_verdict(const graph::closure_mirror& mirror,
+                                             const graph::live_neighbor_index& index) {
+  const graph::undirected_graph gr = index.graph();
+  const graph::component_labels comps = graph::connected_components(gr);
+  graph::node_id first = graph::invalid_node;
+  bool field = true;
+  for (graph::node_id u = 0; u < index.num_nodes(); ++u) {
+    if (!index.is_live(u)) continue;
+    if (first == graph::invalid_node) {
+      first = u;
+    } else if (!comps.same_component(u, first)) {
+      field = false;
+    }
+  }
+  return {.preserved = graph::same_connectivity(mirror.live_graph(), gr),
+          .field_connected = field};
+}
+
+/// Adds one arc per edge of a BFS spanning forest of the live G_R, in
+/// a random direction.
+void add_spanning_forest(graph::closure_mirror& mirror, const graph::live_neighbor_index& index,
+                         std::mt19937_64& rng) {
+  std::vector<bool> seen(index.num_nodes(), false);
+  std::vector<graph::node_id> frontier;
+  for (graph::node_id root = 0; root < index.num_nodes(); ++root) {
+    if (seen[root] || !index.is_live(root)) continue;
+    seen[root] = true;
+    frontier.assign(1, root);
+    while (!frontier.empty()) {
+      const graph::node_id u = frontier.back();
+      frontier.pop_back();
+      for (const graph::node_id v : index.neighbors(u)) {
+        if (seen[v]) continue;
+        seen[v] = true;
+        frontier.push_back(v);
+        if (rng() % 2 == 0) {
+          mirror.add_arc(u, v);
+        } else {
+          mirror.add_arc(v, u);
+        }
+      }
+    }
+  }
+}
 
 TEST(Propagation, InPlaceMirrorConnectivityMatchesSnapshotComparison) {
-  // Random mirrors + indexes; verdicts of the adjacency-view
-  // comparison must equal the materialized-graph comparison.
+  // Random mirrors + indexes; both verdicts of the in-place evaluation
+  // must equal the materialized-graph comparison. Random arcs mostly
+  // miss G_R (fallback path); closures grown from G_R spanning forests
+  // pass the spanning certificate whenever the live field is one
+  // component.
   std::mt19937_64 rng(55);
-  for (int round = 0; round < 50; ++round) {
+  std::size_t certified = 0;
+  for (int round = 0; round < 100; ++round) {
+    const bool spanning = round >= 50;
     const std::size_t n = 30;
     const auto positions = random_field(n, 900.0, 1000 + round);
     const radio::link_model link(radio::power_model(2.0, 350.0),
@@ -413,16 +465,50 @@ TEST(Propagation, InPlaceMirrorConnectivityMatchesSnapshotComparison) {
     graph::live_neighbor_index index(positions, link);
     graph::closure_mirror mirror(n);
     std::uniform_int_distribution<std::uint32_t> pick(0, n - 1);
-    for (int arc = 0; arc < 80; ++arc) mirror.add_arc(pick(rng), pick(rng));
     for (int drops = 0; drops < 4; ++drops) {
       const graph::node_id u = pick(rng);
       mirror.set_live(u, false);
       index.erase(u);
     }
+    if (spanning) {
+      add_spanning_forest(mirror, index, rng);
+      for (int arc = 0; arc < round % 4; ++arc) mirror.add_arc(pick(rng), pick(rng));
+    } else {
+      for (int arc = 0; arc < 80; ++arc) mirror.add_arc(pick(rng), pick(rng));
+    }
     graph::connectivity_scratch scratch;
-    EXPECT_EQ(graph::same_connectivity(mirror, index, scratch),
-              graph::same_connectivity(mirror.live_graph(), index.graph()))
-        << "round " << round;
+    const graph::connectivity_verdict got = graph::evaluate_connectivity(mirror, index, scratch);
+    const graph::connectivity_verdict want = snapshot_verdict(mirror, index);
+    EXPECT_EQ(got.preserved, want.preserved) << "round " << round;
+    EXPECT_EQ(got.field_connected, want.field_connected) << "round " << round;
+    if (spanning && want.preserved && want.field_connected) ++certified;
+  }
+  EXPECT_GT(certified, 10u);  // the certificate path was exercised
+}
+
+TEST(Propagation, StaleArcBridgingGrComponentsIsNotPreserved) {
+  // Two clusters far beyond radio range of each other: G_R has two
+  // components. The closure holds a spanning tree of each plus one
+  // stale arc (a table entry G_R no longer has) bridging them, so the
+  // closure is one component. A certificate that united closure edges
+  // without checking them against G_R would call this preserved.
+  const radio::link_model link(radio::power_model(2.0, 350.0));
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    auto positions = random_field(20, 400.0, 300 + seed);
+    for (std::size_t i = 10; i < positions.size(); ++i) positions[i].x += 3000.0;
+    graph::live_neighbor_index index(positions, link);
+    graph::closure_mirror mirror(positions.size());
+    std::mt19937_64 rng(seed);
+    add_spanning_forest(mirror, index, rng);
+    mirror.add_arc(static_cast<graph::node_id>(seed % 10), static_cast<graph::node_id>(10 + seed % 10));
+
+    graph::connectivity_scratch scratch;
+    const graph::connectivity_verdict got = graph::evaluate_connectivity(mirror, index, scratch);
+    const graph::connectivity_verdict want = snapshot_verdict(mirror, index);
+    EXPECT_FALSE(want.preserved) << "seed " << seed;
+    EXPECT_FALSE(want.field_connected) << "seed " << seed;
+    EXPECT_EQ(got.preserved, want.preserved) << "seed " << seed;
+    EXPECT_EQ(got.field_connected, want.field_connected) << "seed " << seed;
   }
 }
 

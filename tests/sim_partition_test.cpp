@@ -7,12 +7,18 @@
 // region grid) and mid-run crashes/restarts in flight. Plus direct
 // unit coverage of the conservative synchronizer itself: lookahead
 // safety (no event created inside a phase below now + lookahead),
-// parallel-phase telemetry, migration counting, and the per-region
-// churn counters on the live index.
+// parallel-phase telemetry, migration counting, the per-lane event
+// order against the serial simulator, and the per-region churn
+// counters on the live index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -208,6 +214,161 @@ TEST(SimPartition, LookaheadSafetyAndPhaseTelemetry) {
     EXPECT_EQ(fired[u], 40u) << "node " << u;  // 20 timer firings + 20 deliveries
   }
   EXPECT_EQ(retries.load(), kNodes);
+}
+
+/// One randomized event script, run on any scheduler. Every node keeps
+/// its own RNG and label counter and touches them only from its own
+/// handlers, so each node's trace is a pure function of the order in
+/// which that node's events ran: any divergence from the canonical
+/// order shows up in (and cascades through) the traces.
+class lane_order_script {
+ public:
+  using trace_entry = std::array<std::uint64_t, 3>;  // kind, peer, label
+
+  lane_order_script(sim::scheduler& s, std::size_t nodes,
+                    std::function<void(graph::node_id, std::uint32_t)> migrate)
+      : s_(s), migrate_(std::move(migrate)), traces_(nodes), issued_(nodes, 0), tx_seq_(nodes, 0) {
+    for (std::size_t u = 0; u < nodes; ++u) rngs_.emplace_back(1000 + u);
+  }
+
+  /// Schedules the opening events from outside any handler, in
+  /// scrambled order: same-instant ties across all three classes, and
+  /// class-0 migrations that land between a timer's scheduling and its
+  /// firing.
+  void seed(std::uint64_t seed, std::uint32_t regions) {
+    std::mt19937_64 rng(seed);
+    const auto n = static_cast<std::uint32_t>(traces_.size());
+    std::uniform_int_distribution<std::uint32_t> node(0, n - 1);
+    std::uniform_int_distribution<std::uint32_t> region(0, regions - 1);
+    std::uniform_int_distribution<int> instant(1, 6);
+    std::vector<std::function<void()>> setup;
+    for (int i = 0; i < 60; ++i) {
+      const double t = instant(rng);
+      const graph::node_id u = node(rng);
+      switch (i % 3) {
+        case 0: {
+          const std::uint32_t r = region(rng);
+          setup.emplace_back([this, t, u, r] {
+            s_.schedule_at(t, [this, u, r] {
+              global_trace_.push_back({0, u, r});
+              migrate_(u, r);
+            });
+          });
+          break;
+        }
+        case 1:
+          setup.emplace_back([this, t, u] { arm(u, t); });
+          break;
+        default: {
+          const graph::node_id from = node(rng);
+          const std::uint64_t seq = outside_seq_++;
+          setup.emplace_back([this, t, u, from, seq] { deliver(t, u, from, seq, 0); });
+          break;
+        }
+      }
+    }
+    std::shuffle(setup.begin(), setup.end(), rng);
+    for (const auto& f : setup) f();
+  }
+
+  [[nodiscard]] const std::vector<std::vector<trace_entry>>& traces() const { return traces_; }
+  [[nodiscard]] const std::vector<trace_entry>& global_trace() const { return global_trace_; }
+
+ private:
+  static constexpr double kHorizon = 24.0;
+
+  void arm(graph::node_id u, double t) {
+    s_.schedule_node(t, u, [this, u, label = issued_[u]++] { on_timer(u, label); });
+  }
+
+  void deliver(double t, graph::node_id to, graph::node_id from, std::uint64_t seq,
+               std::uint32_t copy) {
+    s_.schedule_delivery(t, to, from, seq, copy,
+                         [this, to, from, seq, copy] { on_delivery(to, from, seq, copy); });
+  }
+
+  void on_timer(graph::node_id u, std::uint64_t label) {
+    traces_[u].push_back({1, u, label});
+    std::mt19937_64& rng = rngs_[u];
+    if (rng() % 3 == 0) {  // same-instant retry stagger
+      s_.schedule_node(s_.now(), u, [this, u, label = issued_[u]++] {
+        traces_[u].push_back({3, u, label});
+      });
+    }
+    const auto n = static_cast<std::uint32_t>(traces_.size());
+    for (int k = 0; k < 2; ++k) {
+      const auto to = static_cast<graph::node_id>(rng() % n);
+      const std::uint64_t seq = tx_seq_[u]++;
+      const double at = s_.now() + static_cast<double>(1 + rng() % 2);
+      deliver(at, to, u, seq, 0);
+      if (rng() % 4 == 0) deliver(at, to, u, seq, 1);  // channel duplicate
+    }
+    if (s_.now() + 1.0 < kHorizon) arm(u, s_.now() + static_cast<double>(1 + rng() % 3));
+  }
+
+  void on_delivery(graph::node_id to, graph::node_id from, std::uint64_t seq, std::uint32_t copy) {
+    traces_[to].push_back({2, from, seq * 2 + copy});
+    std::mt19937_64& rng = rngs_[to];
+    if (rng() % 5 == 0) {
+      s_.schedule_node(s_.now(), to, [this, to, label = issued_[to]++] {
+        traces_[to].push_back({3, to, label});
+      });
+    }
+    if (rng() % 8 == 0 && s_.now() + 1.0 < kHorizon) arm(to, s_.now() + 1.0);
+  }
+
+  sim::scheduler& s_;
+  std::function<void(graph::node_id, std::uint32_t)> migrate_;
+  std::vector<std::vector<trace_entry>> traces_;
+  std::vector<trace_entry> global_trace_;
+  std::vector<std::mt19937_64> rngs_;
+  std::vector<std::uint64_t> issued_;
+  std::vector<std::uint64_t> tx_seq_;
+  std::uint64_t outside_seq_{1ULL << 40};
+};
+
+/// The partitioned engine's lane order, checked directly against the
+/// serial simulator: every node must run its events in exactly the
+/// canonical order, across scrambled same-instant ties of all three
+/// classes, migrations between a timer's scheduling and its firing,
+/// and same-instant retries.
+TEST(SimPartition, LaneOrderMatchesSerialSimulator) {
+  constexpr std::size_t kNodes = 24;
+  constexpr std::uint32_t kRegions = 4;
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    sim::simulator serial;
+    lane_order_script reference(serial, kNodes, [](graph::node_id, std::uint32_t) {});
+    reference.seed(seed, kRegions);
+    serial.run_until(100.0);
+
+    util::thread_pool pool(4);
+    sim::partitioned_simulator psim(
+        kNodes, {.regions = kRegions, .lookahead = 1.0, .pool = &pool, .serial_batch_limit = 0});
+    for (graph::node_id u = 0; u < kNodes; ++u) psim.set_region(u, u % kRegions);
+    lane_order_script partitioned(
+        psim, kNodes, [&psim](graph::node_id u, std::uint32_t r) { psim.set_region(u, r); });
+    partitioned.seed(seed, kRegions);
+    psim.run_until(100.0);
+
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    EXPECT_EQ(psim.stats().violations, 0u);
+    EXPECT_GT(psim.stats().parallel_phases, 0u);
+    EXPECT_EQ(psim.events_processed(), serial.events_processed());
+    EXPECT_EQ(partitioned.global_trace(), reference.global_trace());
+    for (graph::node_id u = 0; u < kNodes; ++u) {
+      EXPECT_GT(reference.traces()[u].size(), 0u) << "node " << u;
+      EXPECT_EQ(partitioned.traces()[u], reference.traces()[u]) << "node " << u;
+    }
+  }
+}
+
+/// A programmatic region count above the cap is refused before any
+/// lane grid is allocated.
+TEST(SimPartition, OversizedRegionCountIsRejected) {
+  scenario_spec spec = partition_scenario();
+  sim_spec dyn = partition_sim();
+  dyn.partition.regions = 100000000;
+  EXPECT_THROW((void)engine{}.run_dynamic(spec, dyn, 1), std::invalid_argument);
 }
 
 /// The serial simulator orders same-time events by their typed keys

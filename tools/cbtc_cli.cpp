@@ -20,6 +20,7 @@
 #include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -469,7 +470,13 @@ sweep_setup resolve_sweep(const cli_args& args) {
       throw usage_error("--regions applies to dynamic scenarios only "
                         "(pick a dynamic preset or a JSON file with a sim block)");
     }
-    sim->partition.regions = static_cast<std::uint32_t>(args.count("regions", 0));
+    const std::size_t regions = args.count("regions", 0);
+    if (regions > api::partition_spec::max_regions) {
+      throw usage_error("option --regions: at most " +
+                        std::to_string(api::partition_spec::max_regions) + ", got " +
+                        std::to_string(regions));
+    }
+    sim->partition.regions = static_cast<std::uint32_t>(regions);
   }
 
   // Lifetime flags: any of them switches the sweep to the
@@ -487,7 +494,12 @@ sweep_setup resolve_sweep(const cli_args& args) {
       }
     }
     if (args.options.contains("sink")) {
-      lifetime->sink = static_cast<graph::node_id>(args.count("sink", lifetime->sink));
+      const std::size_t sink = args.count("sink", lifetime->sink);
+      if (sink > std::numeric_limits<graph::node_id>::max()) {
+        throw usage_error("option --sink: node id " + std::to_string(sink) +
+                          " does not fit in 32 bits");
+      }
+      lifetime->sink = static_cast<graph::node_id>(sink);
       lifetime->convergecast = true;
     }
     lifetime->battery_rounds = args.num("battery-rounds", lifetime->battery_rounds);
