@@ -152,6 +152,43 @@ void BM_EngineOracleShadowed(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineOracleShadowed)->RangeMultiplier(2)->Range(100, 1600)->Complexity();
 
+/// Whole static runs at 20k nodes (the preset's density), metrics off,
+/// on a 4-wide pool: the shadowed_field preset's growth and options (continuous growth,
+/// shrink-back, gain-aware op3), and its isotropic twin (the same
+/// request without gains, so op3 is the angle pass). Their ratio gates
+/// what per-link gains add to a run end to end; with G_R priced once
+/// per run, growth, op3 and the power pass read the column instead of
+/// evaluating gains again.
+api::scenario_spec lean_spec(std::int64_t nodes, bool shadowed) {
+  api::scenario_spec spec = api::get_scenario("shadowed_field");
+  spec.deploy.region_side *= std::sqrt(static_cast<double>(nodes) /
+                                       static_cast<double>(spec.deploy.nodes));
+  spec.deploy.nodes = static_cast<std::size_t>(nodes);
+  spec.metrics = {.stretch = false, .interference = false, .robustness = false};
+  spec.cbtc.intra_threads = 4;
+  if (!shadowed) {
+    spec.radio.propagation = {};
+    spec.opts = {.shrink_back = true, .pairwise_removal = true};
+  }
+  return spec;
+}
+
+void BM_EngineLean(benchmark::State& state) {
+  const api::scenario_spec spec = lean_spec(state.range(0), false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec, 1));
+  }
+}
+BENCHMARK(BM_EngineLean)->Arg(20000)->Unit(benchmark::kMillisecond);
+
+void BM_EngineLeanShadowed(benchmark::State& state) {
+  const api::scenario_spec spec = lean_spec(state.range(0), true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec, 1));
+  }
+}
+BENCHMARK(BM_EngineLeanShadowed)->Arg(20000)->Unit(benchmark::kMillisecond);
+
 void BM_MaxPowerGraphGridShadowed(benchmark::State& state) {
   const auto positions = make_positions(state.range(0));
   for (auto _ : state) {
@@ -169,7 +206,7 @@ BENCHMARK(BM_MaxPowerGraphGridShadowed)->RangeMultiplier(2)->Range(100, 1600)->C
 struct removal_fixture {
   std::vector<geom::vec2> positions;
   graph::undirected_graph topology;
-  graph::undirected_graph candidates;
+  graph::priced_graph candidates;
 };
 
 const removal_fixture& removal_instance(std::int64_t nodes, bool shadowed) {
@@ -184,7 +221,7 @@ const removal_fixture& removal_instance(std::int64_t nodes, bool shadowed) {
     params.intra_threads = 0;
     f.topology = algo::build_topology(f.positions, link, params, {.shrink_back = true}).topology;
     util::thread_pool pool(0);
-    f.candidates = graph::build_max_power_graph(f.positions, link, pool);
+    f.candidates = graph::build_priced_max_power_graph(f.positions, link, pool);
   }
   return it->second;
 }
@@ -221,13 +258,12 @@ void BM_GainAwareRemovalShadowed(benchmark::State& state) {
 }
 BENCHMARK(BM_GainAwareRemovalShadowed)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-/// Sethu-Gerety STC over the prebuilt shadowed candidate graph.
+/// Sethu-Gerety STC over the prebuilt priced shadowed candidate graph.
 void BM_StcGrowth(benchmark::State& state) {
   const removal_fixture& f = removal_instance(state.range(0), true);
   util::thread_pool pool(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        algo::build_stc_topology(f.candidates, f.positions, shadowed_link, pool));
+    benchmark::DoNotOptimize(algo::build_stc_topology(f.candidates, pool));
   }
 }
 BENCHMARK(BM_StcGrowth)->Arg(10000)->Unit(benchmark::kMillisecond);
@@ -339,7 +375,7 @@ BENCHMARK(BM_SymmetricClosureParallel)->Arg(100000)->Unit(benchmark::kMillisecon
 void BM_PowerStretchSerial(benchmark::State& state) {
   const removal_fixture& f = removal_instance(state.range(0), false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::power_stretch(f.topology, f.candidates, f.positions,
+    benchmark::DoNotOptimize(graph::power_stretch(f.topology, f.candidates.graph, f.positions,
                                                   pm.exponent(), 8, util::serial_pool()));
   }
 }
@@ -350,7 +386,7 @@ void BM_PowerStretchParallel(benchmark::State& state) {
   util::thread_pool pool(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        graph::power_stretch(f.topology, f.candidates, f.positions, pm.exponent(), 8, pool));
+        graph::power_stretch(f.topology, f.candidates.graph, f.positions, pm.exponent(), 8, pool));
   }
 }
 BENCHMARK(BM_PowerStretchParallel)->Arg(100000)->Unit(benchmark::kMillisecond);

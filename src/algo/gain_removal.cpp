@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <tuple>
 #include <vector>
 
@@ -13,28 +14,24 @@ namespace cbtc::algo {
 gain_edge_id gain_edge_id::of(graph::node_id u, graph::node_id v,
                               std::span<const geom::vec2> positions,
                               const radio::link_model& link) {
-  return {link.required_power(u, v, positions[u], positions[v]), std::max(u, v), std::min(u, v)};
+  return make(link.required_power(u, v, positions[u], positions[v]), u, v);
 }
 
 namespace {
 
 /// Two-hop witness: a common candidate neighbor w of u and v with both
 /// hop ids strictly below eid_uv. The scan runs from the endpoint with
-/// the smaller candidate degree and prices the first hop before the
-/// (binary-search) membership probe for the second.
-bool two_hop_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                     const radio::link_model& link, graph::node_id u, graph::node_id v,
+/// the smaller candidate degree and checks the first hop's price before
+/// the (binary-search) membership probe for the second.
+bool two_hop_witness(const graph::priced_graph& c, graph::node_id u, graph::node_id v,
                      const gain_edge_id& eid_uv) {
-  const graph::node_id apex = c.degree(u) <= c.degree(v) ? u : v;
+  const graph::node_id apex = c.graph.degree(u) <= c.graph.degree(v) ? u : v;
   const graph::node_id other = apex == u ? v : u;
-  for (graph::node_id w : c.neighbors(apex)) {
-    if (w == other) continue;
-    if (!(gain_edge_id::of(apex, w, positions, link) < eid_uv)) continue;
-    const std::span<const graph::node_id> nb = c.neighbors(w);
-    if (!std::binary_search(nb.begin(), nb.end(), other)) continue;
-    if (gain_edge_id::of(w, other, positions, link) < eid_uv) return true;
-  }
-  return false;
+  return c.any_link(apex, [&](graph::node_id w, double p) {
+    if (w == other || !(gain_edge_id::make(p, apex, w) < eid_uv)) return false;
+    const std::optional<double> second = c.find_power(w, other);
+    return second && gain_edge_id::make(*second, w, other) < eid_uv;
+  });
 }
 
 /// Depth-limited breadth-first reachability u -> v over the candidate
@@ -48,12 +45,12 @@ struct bfs_scratch {
   std::uint32_t epoch{0};
 };
 
-bool bfs_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                 const radio::link_model& link, graph::node_id u, graph::node_id v,
+bool bfs_witness(const graph::priced_graph& c, graph::node_id u, graph::node_id v,
                  const gain_edge_id& eid_uv, std::size_t max_hops) {
   thread_local bfs_scratch s;
-  if (s.mark.size() < c.num_nodes()) {
-    s.mark.assign(c.num_nodes(), 0);
+  const std::size_t n = c.graph.num_nodes();
+  if (s.mark.size() < n) {
+    s.mark.assign(n, 0);
     s.epoch = 0;
   }
   if (++s.epoch == 0) {
@@ -66,30 +63,30 @@ bool bfs_witness(const graph::undirected_graph& c, std::span<const geom::vec2> p
   for (std::size_t depth = 1; depth <= max_hops && !s.cur.empty(); ++depth) {
     s.nxt.clear();
     for (const graph::node_id a : s.cur) {
-      for (const graph::node_id w : c.neighbors(a)) {
-        if (s.mark[w] == s.epoch) continue;
-        if (!(gain_edge_id::of(a, w, positions, link) < eid_uv)) continue;
+      const bool reached = c.any_link(a, [&](graph::node_id w, double p) {
+        if (s.mark[w] == s.epoch || !(gain_edge_id::make(p, a, w) < eid_uv)) return false;
         if (w == v) return true;
         s.mark[w] = s.epoch;
         s.nxt.push_back(w);
-      }
+        return false;
+      });
+      if (reached) return true;
     }
     std::swap(s.cur, s.nxt);
   }
   return false;
 }
 
-bool has_power_witness(const graph::undirected_graph& c, std::span<const geom::vec2> positions,
-                       const radio::link_model& link, graph::node_id u, graph::node_id v,
+bool has_power_witness(const graph::priced_graph& c, graph::node_id u, graph::node_id v,
                        const gain_edge_id& eid_uv, std::size_t max_hops) {
   // A zero-power edge joins coincident nodes; a "cheaper" path exists
   // only by id tie-break, which proves nothing physical. Mirror the
   // pairwise pass: never redundant.
   if (eid_uv.power == 0.0) return false;
   if (max_hops < 2) return false;
-  if (two_hop_witness(c, positions, link, u, v, eid_uv)) return true;
+  if (two_hop_witness(c, u, v, eid_uv)) return true;
   if (max_hops == 2) return false;
-  return bfs_witness(c, positions, link, u, v, eid_uv, max_hops);
+  return bfs_witness(c, u, v, eid_uv, max_hops);
 }
 
 }  // namespace
@@ -99,12 +96,13 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
                                              const radio::link_model& link,
                                              const gain_removal_options& opts,
                                              util::thread_pool& pool) {
-  const graph::undirected_graph candidates = graph::build_max_power_graph(positions, link, pool);
+  const graph::priced_graph candidates =
+      graph::build_priced_max_power_graph(positions, link, pool);
   return apply_gain_aware_removal(g, candidates, positions, link, opts, pool);
 }
 
 gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
-                                             const graph::undirected_graph& candidates,
+                                             const graph::priced_graph& candidates,
                                              std::span<const geom::vec2> positions,
                                              const radio::link_model& link,
                                              const gain_removal_options& opts,
@@ -145,7 +143,9 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
 
   // Per-edge classification against the candidate graph. Slot writes
   // plus block-ordered count; the required power doubles as the gate
-  // metric below, so it is computed once and carried.
+  // metric below, so it is looked up once and carried. Every edge of a
+  // CBTC topology is a G_R edge and reads the column; an input edge
+  // outside G_R is priced on the spot.
   std::vector<unsigned char> redundant(m, 0);
   std::vector<double> powers(m);
   res.redundant_edges = pool.reduce<std::size_t>(
@@ -154,12 +154,11 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
         std::size_t count = 0;
         for (std::size_t i = lo; i < hi; ++i) {
           const auto [u, v] = edges[i];
-          const gain_edge_id eid = gain_edge_id::of(u, v, positions, link);
+          const std::optional<double> priced = candidates.find_power(u, v);
+          const gain_edge_id eid =
+              priced ? gain_edge_id::make(*priced, u, v) : gain_edge_id::of(u, v, positions, link);
           powers[i] = eid.power;
-          redundant[i] =
-              has_power_witness(candidates, positions, link, u, v, eid, opts.max_witness_hops)
-                  ? 1
-                  : 0;
+          redundant[i] = has_power_witness(candidates, u, v, eid, opts.max_witness_hops) ? 1 : 0;
           count += redundant[i];
         }
         return count;

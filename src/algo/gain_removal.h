@@ -48,6 +48,11 @@
 // until the input's component partition is restored — in practice it
 // restores nothing, but it turns "connected with overwhelming
 // probability" into "connected, unconditionally".
+//
+// Pricing: every power this pass compares — the edge's own and each
+// witness hop's — is read from the priced G_R's column
+// (graph::priced_graph), which the engine builds once per run and
+// shares with growth and STC. The witness scans evaluate no gain.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +60,7 @@
 
 #include "algo/pairwise.h"
 #include "geom/vec2.h"
+#include "graph/euclidean.h"
 #include "graph/graph.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
@@ -69,6 +75,13 @@ struct gain_edge_id {
   graph::node_id hi{0};
   graph::node_id lo{0};
 
+  /// The id of link {u, v} whose required power is `power`.
+  [[nodiscard]] static constexpr gain_edge_id make(double power, graph::node_id u,
+                                                   graph::node_id v) {
+    return {power, u > v ? u : v, u > v ? v : u};
+  }
+
+  /// The id of link {u, v}, pricing it with link.required_power.
   [[nodiscard]] static gain_edge_id of(graph::node_id u, graph::node_id v,
                                        std::span<const geom::vec2> positions,
                                        const radio::link_model& link);
@@ -103,16 +116,18 @@ struct gain_removal_result {
 };
 
 /// Applies gain-aware removal to the symmetric topology `g`.
-/// `candidates` is the gain-aware max-power graph G_R over the same
-/// node set (graph::build_max_power_graph(positions, link, pool));
+/// `candidates` is the priced max-power graph G_R over the same node
+/// set (graph::build_priced_max_power_graph(positions, link, pool));
 /// witness paths live there, so redundancy decisions are independent
-/// of which edges earlier passes already pruned.
+/// of which edges earlier passes already pruned. Every hop's price is
+/// read from the candidates' column, never re-evaluated; positions and
+/// link only price an edge of `g` that is not a G_R edge.
 [[nodiscard]] gain_removal_result apply_gain_aware_removal(
-    const graph::undirected_graph& g, const graph::undirected_graph& candidates,
+    const graph::undirected_graph& g, const graph::priced_graph& candidates,
     std::span<const geom::vec2> positions, const radio::link_model& link,
     const gain_removal_options& opts, util::thread_pool& pool);
 
-/// Convenience overload: builds the candidate graph itself.
+/// Convenience overload: builds the priced candidate graph itself.
 [[nodiscard]] gain_removal_result apply_gain_aware_removal(
     const graph::undirected_graph& g, std::span<const geom::vec2> positions,
     const radio::link_model& link, const gain_removal_options& opts = {},

@@ -6,6 +6,7 @@
 
 #include "geom/angle.h"
 #include "geom/spatial_grid.h"
+#include "graph/euclidean.h"
 #include "util/parallel.h"
 
 namespace cbtc::algo {
@@ -167,21 +168,18 @@ void candidates_into(node_id u, std::span<const geom::vec2> positions,
   });
 }
 
-void link_candidates_into(node_id u, std::span<const geom::vec2> positions,
-                          const geom::spatial_grid& grid, const radio::link_model& link,
-                          growth_arena& arena) {
-  arena.hits.clear();
+/// Node u's candidates under per-link gains: its priced G_R row (every
+/// node whose link to u closes at maximum power), sorted by (required
+/// link power, id). Growth reads the prices; it evaluates no gain.
+void row_candidates_into(node_id u, std::span<const geom::vec2> positions,
+                         const graph::priced_graph& candidates, growth_arena& arena) {
   arena.link_cands.clear();
   const geom::vec2 pu = positions[u];
-  const double max_power = link.max_power();
-  grid.query_radius_into(pu, link.max_candidate_range(), u, arena.hits);
-  for (geom::point_index v : arena.hits) {
+  candidates.any_link(u, [&](node_id v, double power) {
     const geom::vec2 d = positions[v] - pu;
-    const double dist = d.norm();
-    const double req = link.required_power_at(dist, u, v, pu, positions[v]);
-    if (req > max_power * (1.0 + 1e-12)) continue;  // never decodable
-    arena.link_cands.push_back({v, dist, d.bearing(), req});
-  }
+    arena.link_cands.push_back({v, d.norm(), d.bearing(), power});
+    return false;
+  });
   std::sort(arena.link_cands.begin(), arena.link_cands.end(),
             [](const link_candidate& a, const link_candidate& b) {
               return a.req_power < b.req_power || (a.req_power == b.req_power && a.id < b.id);
@@ -261,52 +259,76 @@ node_result run_continuous_link(std::span<const link_candidate> cands,
   return res;
 }
 
-}  // namespace
-
-cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::link_model& link,
-                     const cbtc_params& params) {
+void check_params(const cbtc_params& params) {
   if (params.alpha <= 0.0 || params.alpha >= geom::two_pi)
     throw std::invalid_argument("run_cbtc: alpha must be in (0, 2*pi)");
   if (params.increase_factor <= 1.0)
     throw std::invalid_argument("run_cbtc: increase_factor must be > 1");
+}
 
-  const radio::power_model& power = link.power();
-  const double p0 = params.initial_power > 0.0 ? params.initial_power
-                                               : power.required_power(power.max_range() / 16.0);
-
+/// Runs grow_node(u, arena) for every node on the intra-instance pool.
+/// Growth is a pure per-node computation, so the parallel loop is
+/// deterministic by construction: node u's outcome lands in slot u no
+/// matter which thread ran it.
+template <class GrowNode>
+cbtc_result grow_all(std::size_t n, const cbtc_params& params, const GrowNode& grow_node) {
   cbtc_result result;
   result.params = params;
-  if (positions.empty()) return result;
-
-  // Growth is a pure per-node computation over the immutable grid, so
-  // the parallel loop is deterministic by construction: node u's
-  // outcome lands in slot u no matter which thread ran it. The grid
-  // prunes by the longest feasible link (exactly R when isotropic).
-  const double reach = link.max_candidate_range();
-  const geom::spatial_grid grid(positions, reach);
-  result.nodes.resize(positions.size());
+  result.nodes.resize(n);
   util::thread_pool pool(params.intra_threads);
-  const bool discrete = params.mode == growth_mode::discrete;
-  const bool isotropic = link.is_isotropic();
-  pool.parallel_for_chunks(positions.size(), growth_chunk, [&](std::size_t lo, std::size_t hi) {
+  pool.parallel_for_chunks(n, growth_chunk, [&](std::size_t lo, std::size_t hi) {
     growth_arena arena;
     for (std::size_t u = lo; u < hi; ++u) {
-      const auto id = static_cast<node_id>(u);
-      if (isotropic) {
-        // Without per-link gains required power is monotone in
-        // distance: the original distance-ordered kernels, bit for bit.
-        candidates_into(id, positions, grid, reach, arena);
-        result.nodes[u] = discrete ? run_discrete(arena.cands, power, params, p0, arena.dirs)
-                                   : run_continuous(arena.cands, power, params, arena.dirs);
-      } else {
-        link_candidates_into(id, positions, grid, link, arena);
-        result.nodes[u] = discrete
-                              ? run_discrete_link(arena.link_cands, link, params, p0, arena.dirs)
-                              : run_continuous_link(arena.link_cands, link, params, arena.dirs);
-      }
+      result.nodes[u] = grow_node(static_cast<node_id>(u), arena);
     }
   });
   return result;
+}
+
+double initial_power(const radio::power_model& power, const cbtc_params& params) {
+  return params.initial_power > 0.0 ? params.initial_power
+                                    : power.required_power(power.max_range() / 16.0);
+}
+
+}  // namespace
+
+cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::link_model& link,
+                     const cbtc_params& params) {
+  check_params(params);
+  if (positions.empty()) return cbtc_result{params, {}};
+  if (!link.is_isotropic()) {
+    util::thread_pool pool(params.intra_threads);
+    return run_cbtc(positions, link, params,
+                    graph::build_priced_max_power_graph(positions, link, pool));
+  }
+
+  // Without per-link gains required power is monotone in distance: the
+  // distance-ordered kernels over a grid pruned at R.
+  const radio::power_model& power = link.power();
+  const double p0 = initial_power(power, params);
+  const double reach = link.max_candidate_range();
+  const geom::spatial_grid grid(positions, reach);
+  const bool discrete = params.mode == growth_mode::discrete;
+  return grow_all(positions.size(), params, [&](node_id u, growth_arena& arena) {
+    candidates_into(u, positions, grid, reach, arena);
+    return discrete ? run_discrete(arena.cands, power, params, p0, arena.dirs)
+                    : run_continuous(arena.cands, power, params, arena.dirs);
+  });
+}
+
+cbtc_result run_cbtc(std::span<const geom::vec2> positions, const radio::link_model& link,
+                     const cbtc_params& params, const graph::priced_graph& candidates) {
+  check_params(params);
+  if (candidates.graph.num_nodes() != positions.size()) {
+    throw std::invalid_argument("run_cbtc: candidate graph and positions differ in node count");
+  }
+  const double p0 = initial_power(link.power(), params);
+  const bool discrete = params.mode == growth_mode::discrete;
+  return grow_all(positions.size(), params, [&](node_id u, growth_arena& arena) {
+    row_candidates_into(u, positions, candidates, arena);
+    return discrete ? run_discrete_link(arena.link_cands, link, params, p0, arena.dirs)
+                    : run_continuous_link(arena.link_cands, link, params, arena.dirs);
+  });
 }
 
 }  // namespace cbtc::algo

@@ -18,6 +18,7 @@
 #include "algo/params.h"
 #include "geom/vec2.h"
 #include "graph/digraph.h"
+#include "graph/euclidean.h"
 #include "graph/graph.h"
 #include "graph/types.h"
 #include "radio/power_model.h"
@@ -84,5 +85,16 @@ struct cbtc_result {
 /// distance-ordered growth of Figure 1 directly.
 [[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
                                    const radio::link_model& link, const cbtc_params& params);
+
+/// Growth by required link power over a prebuilt priced G_R
+/// (`candidates` = graph::build_priced_max_power_graph(positions, link),
+/// in the same label space as `positions`): node u's candidates are
+/// its row and their prices are the column, so growth evaluates no
+/// gain. The three-argument form builds the priced G_R itself for
+/// non-isotropic links; isotropic links run the distance-ordered grid
+/// kernels there instead, which are the bitwise reference for them.
+[[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
+                                   const radio::link_model& link, const cbtc_params& params,
+                                   const graph::priced_graph& candidates);
 
 }  // namespace cbtc::algo

@@ -6,8 +6,17 @@
 
 namespace cbtc::algo {
 
-topology_result apply_optimizations(cbtc_result grown, std::span<const geom::vec2> positions,
-                                    const radio::link_model& link, const optimization_set& opts) {
+bool runs_gain_aware_removal(const optimization_set& opts, const radio::link_model& link) {
+  return opts.gain_aware || (opts.pairwise_removal && !link.is_isotropic());
+}
+
+namespace {
+
+/// The shared body of both apply_optimizations forms; `candidates` is
+/// the run's priced G_R, or null to build one if op3 needs it.
+topology_result optimize(cbtc_result grown, std::span<const geom::vec2> positions,
+                         const radio::link_model& link, const optimization_set& opts,
+                         const graph::priced_graph* candidates) {
   topology_result out;
   const cbtc_params params = grown.params;
   // The growth outcome carries the instance's intra-thread knob: the
@@ -24,24 +33,38 @@ topology_result apply_optimizations(cbtc_result grown, std::span<const geom::vec
   // required power is monotone in length (unit disk), so a
   // non-isotropic link auto-routes a pairwise_removal request to the
   // gain-aware pass; opts.gain_aware forces that pass unconditionally.
-  const bool want_op3 = opts.pairwise_removal || opts.gain_aware;
-  const bool use_gain = opts.gain_aware || (opts.pairwise_removal && !link.is_isotropic());
-  if (want_op3 && use_gain) {
+  if (runs_gain_aware_removal(opts, link)) {
     const gain_removal_options gopts{.remove_all = opts.pairwise.remove_all,
                                      .gate = opts.pairwise.gate};
-    gain_removal_result gr = apply_gain_aware_removal(out.topology, positions, link, gopts, pool);
+    gain_removal_result gr =
+        candidates != nullptr
+            ? apply_gain_aware_removal(out.topology, *candidates, positions, link, gopts, pool)
+            : apply_gain_aware_removal(out.topology, positions, link, gopts, pool);
     out.topology = std::move(gr.topology);
     out.redundant_edges = gr.redundant_edges;
     out.removed_edges = gr.removed_edges;
     out.restored_edges = gr.restored_edges;
     out.gain_aware_applied = true;
-  } else if (want_op3) {
+  } else if (opts.pairwise_removal) {
     pairwise_result pr = apply_pairwise_removal(out.topology, positions, opts.pairwise, pool);
     out.topology = std::move(pr.topology);
     out.redundant_edges = pr.redundant_edges;
     out.removed_edges = pr.removed_edges;
   }
   return out;
+}
+
+}  // namespace
+
+topology_result apply_optimizations(cbtc_result grown, std::span<const geom::vec2> positions,
+                                    const radio::link_model& link, const optimization_set& opts) {
+  return optimize(std::move(grown), positions, link, opts, nullptr);
+}
+
+topology_result apply_optimizations(cbtc_result grown, std::span<const geom::vec2> positions,
+                                    const radio::link_model& link, const optimization_set& opts,
+                                    const graph::priced_graph& candidates) {
+  return optimize(std::move(grown), positions, link, opts, &candidates);
 }
 
 topology_result build_topology(std::span<const geom::vec2> positions,

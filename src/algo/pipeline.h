@@ -66,10 +66,25 @@ struct topology_result {
 /// asymmetric removal is applicable. op3 runs as the gain-aware removal
 /// whenever opts.gain_aware is set or the propagation is non-isotropic,
 /// and as Theorem 3.6's angle pass otherwise.
+/// This form builds the priced G_R itself when the gain-aware op3 runs.
 [[nodiscard]] topology_result apply_optimizations(cbtc_result grown,
                                                   std::span<const geom::vec2> positions,
                                                   const radio::link_model& link,
                                                   const optimization_set& opts = {});
+
+/// Same, with the run's priced G_R (graph::build_priced_max_power_graph
+/// over `positions` and `link`, in the same label space): the
+/// gain-aware op3 reads its witness paths and link prices from it.
+[[nodiscard]] topology_result apply_optimizations(cbtc_result grown,
+                                                  std::span<const geom::vec2> positions,
+                                                  const radio::link_model& link,
+                                                  const optimization_set& opts,
+                                                  const graph::priced_graph& candidates);
+
+/// Whether apply_optimizations runs op3 as the gain-aware pass (which
+/// reads a priced G_R) for these options and this link.
+[[nodiscard]] bool runs_gain_aware_removal(const optimization_set& opts,
+                                           const radio::link_model& link);
 
 /// Runs CBTC(alpha) and the selected optimizations over `positions`.
 /// Equivalent to apply_optimizations(run_cbtc(...), positions, link, opts).

@@ -1,6 +1,7 @@
 #include "algo/stc.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,20 +12,18 @@ namespace cbtc::algo {
 
 stc_result build_stc_topology(std::span<const geom::vec2> positions,
                               const radio::link_model& link, util::thread_pool& pool) {
-  const graph::undirected_graph candidates = graph::build_max_power_graph(positions, link, pool);
-  return build_stc_topology(candidates, positions, link, pool);
+  return build_stc_topology(graph::build_priced_max_power_graph(positions, link, pool), pool);
 }
 
-stc_result build_stc_topology(const graph::undirected_graph& candidates,
-                              std::span<const geom::vec2> positions,
-                              const radio::link_model& link, util::thread_pool& pool) {
+stc_result build_stc_topology(const graph::priced_graph& candidates, util::thread_pool& pool) {
   stc_result res;
-  const std::size_t n = candidates.num_nodes();
+  const std::size_t n = candidates.graph.num_nodes();
 
   // Per-node keep decisions: each slot written by exactly one task, so
   // the outcome is width-independent by construction. kept[u] ends up
   // sorted by node id (the output contract of from_adjacency), with
-  // the scan itself running in ascending gain_edge_id order.
+  // the scan itself running in ascending gain_edge_id order. Every
+  // link's price comes from the candidates' column.
   std::vector<std::vector<graph::node_id>> kept(n);
   res.kept_links = pool.reduce<std::size_t>(
       n, 0,
@@ -34,12 +33,11 @@ stc_result build_stc_topology(const graph::undirected_graph& candidates,
         std::vector<graph::node_id> mine;
         for (std::size_t u = lo; u < hi; ++u) {
           const auto uid = static_cast<graph::node_id>(u);
-          const std::span<const graph::node_id> nb = candidates.neighbors(uid);
           order.clear();
-          order.reserve(nb.size());
-          for (const graph::node_id v : nb) {
-            order.emplace_back(gain_edge_id::of(uid, v, positions, link), v);
-          }
+          candidates.any_link(uid, [&](graph::node_id v, double power) {
+            order.emplace_back(gain_edge_id::make(power, uid, v), v);
+            return false;
+          });
           // gain_edge_id is a strict total order (power, then ids), so
           // the sort has no equal keys and the scan order is unique.
           std::sort(order.begin(), order.end());
@@ -47,9 +45,8 @@ stc_result build_stc_topology(const graph::undirected_graph& candidates,
           for (const auto& [eid_uv, v] : order) {
             bool covered = false;
             for (const graph::node_id k : mine) {
-              const std::span<const graph::node_id> knb = candidates.neighbors(k);
-              if (!std::binary_search(knb.begin(), knb.end(), v)) continue;
-              if (gain_edge_id::of(k, v, positions, link) < eid_uv) {
+              const std::optional<double> p = candidates.find_power(k, v);
+              if (p && gain_edge_id::make(*p, k, v) < eid_uv) {
                 covered = true;
                 break;
               }
@@ -63,7 +60,7 @@ stc_result build_stc_topology(const graph::undirected_graph& candidates,
         return count;
       },
       [](std::size_t& total, const std::size_t& part) { total += part; });
-  res.pruned_links = candidates.num_edges() * 2 - res.kept_links;
+  res.pruned_links = candidates.graph.num_edges() * 2 - res.kept_links;
 
   // Symmetrize: edge {u, v} survives iff either endpoint kept it. The
   // reverse lists are gathered serially (push order ascending in u, so

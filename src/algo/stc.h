@@ -33,6 +33,7 @@
 #include <span>
 
 #include "geom/vec2.h"
+#include "graph/euclidean.h"
 #include "graph/graph.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
@@ -49,13 +50,13 @@ struct stc_result {
   std::size_t pruned_links{0};
 };
 
-/// Runs STC over a prebuilt gain-aware candidate graph G_R.
-[[nodiscard]] stc_result build_stc_topology(const graph::undirected_graph& candidates,
-                                            std::span<const geom::vec2> positions,
-                                            const radio::link_model& link,
+/// Runs STC over a prebuilt priced candidate graph G_R
+/// (graph::build_priced_max_power_graph): links are ordered and
+/// covered by the column's prices, so STC evaluates no gain.
+[[nodiscard]] stc_result build_stc_topology(const graph::priced_graph& candidates,
                                             util::thread_pool& pool);
 
-/// Convenience overload: builds the candidate graph itself.
+/// Convenience overload: builds the priced candidate graph itself.
 [[nodiscard]] stc_result build_stc_topology(std::span<const geom::vec2> positions,
                                             const radio::link_model& link,
                                             util::thread_pool& pool);

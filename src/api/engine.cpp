@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -63,27 +64,13 @@ graph::undirected_graph relabel_graph(const graph::undirected_graph& g,
   return graph::undirected_graph::from_csr(std::move(off), std::move(flat));
 }
 
-/// Oracle pipeline under a spatial relabeling: nodes are permuted into
-/// Morton order (spatial neighbors become cache neighbors for the
-/// growth loop and the scatter passes), the pipeline runs in permuted
-/// label space, and the result — topology and growth records — is
-/// mapped back to original labels before anything downstream (metrics,
-/// invariants, reports) sees it. Shadowing gains hash node ids, so the
-/// permuted run consults the original ids via link_model::relabeled.
-algo::topology_result relabeled_build(std::span<const geom::vec2> positions,
-                                      const radio::link_model& link,
-                                      const algo::cbtc_params& params,
-                                      const algo::optimization_set& opts,
-                                      util::thread_pool& pool) {
-  const std::size_t n = positions.size();
-  const double cell = link.max_range();
-  const std::vector<std::uint32_t> perm = geom::spatial_order(positions, cell);
-  std::vector<geom::vec2> rpos(n);
-  for (std::size_t k = 0; k < n; ++k) rpos[k] = positions[perm[k]];
-
-  algo::topology_result t = algo::build_topology(
-      rpos, link.relabeled(std::vector<std::uint32_t>(perm)), params, opts);
-
+/// Maps an oracle outcome computed over permuted labels (pipeline
+/// label k is original node perm[k]) back to original labels: the
+/// topology and the growth records, before anything downstream
+/// (metrics, invariants, reports) sees them.
+void restore_labels(algo::topology_result& t, std::span<const std::uint32_t> perm,
+                    util::thread_pool& pool) {
+  const std::size_t n = perm.size();
   t.topology = relabel_graph(t.topology, perm, pool);
   algo::cbtc_result growth;
   growth.params = t.growth.params;
@@ -101,7 +88,6 @@ algo::topology_result relabeled_build(std::span<const geom::vec2> positions,
     growth.nodes[perm[k]] = std::move(nr);
   });
   t.growth = std::move(growth);
-  return t;
 }
 
 /// Runs the seed blocks `blocks` of the batch over `seeds`: threads
@@ -177,10 +163,46 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   run_report r;
   r.seed = seed;
   r.nodes = positions.size();
-
+  const std::size_t n = positions.size();
   util::thread_pool pool(spec.cbtc.intra_threads);
-  graph::undirected_graph gr = graph::build_max_power_graph(positions, link, pool);
-  r.max_power_edges = gr.num_edges();
+
+  // The oracle pipeline runs under a spatial relabeling above
+  // relabel_min_nodes: nodes are permuted into Morton order (spatial
+  // neighbors become cache neighbors for growth and the scatter
+  // passes), and its outcome is mapped back to original labels by
+  // restore_labels. Shadowing gains hash node ids, so the permuted
+  // pipeline consults the original ids via link_model::relabeled.
+  const bool relabel = spec.method.k == method_spec::kind::oracle &&
+                       n >= spec.cbtc.relabel_min_nodes && n > 1 && R > 0.0;
+  std::vector<std::uint32_t> perm;  // pipeline label k is original node perm[k]
+  std::vector<geom::vec2> rpos;
+  if (relabel) {
+    perm = geom::spatial_order(positions, R);
+    rpos.resize(n);
+    for (std::size_t k = 0; k < n; ++k) rpos[k] = positions[perm[k]];
+  }
+  const std::span<const geom::vec2> gpos =
+      relabel ? std::span<const geom::vec2>(rpos) : std::span<const geom::vec2>(positions);
+  const radio::link_model glink = relabel ? link.relabeled(perm) : link;
+
+  // G_R is built once per run. When a pass reads link prices
+  // (non-isotropic growth and power, the gain-aware op3, STC), it is
+  // built priced and in the pipeline's label space; every pass reads
+  // that column instead of evaluating a gain. The original-label G_R
+  // that invariants, metrics and max_power_out use is made from it
+  // after the column's last use, by a permutation pass when relabeled.
+  const bool cbtc_method = spec.method.k == method_spec::kind::oracle ||
+                           spec.method.k == method_spec::kind::protocol;
+  const bool priced = !link.is_isotropic() || spec.method.k == method_spec::kind::stc ||
+                      (cbtc_method && algo::runs_gain_aware_removal(spec.opts, link));
+  graph::priced_graph prices;
+  graph::undirected_graph gr;
+  if (priced) {
+    prices = graph::build_priced_max_power_graph(gpos, glink, pool);
+  } else {
+    gr = graph::build_max_power_graph(positions, link, pool);
+  }
+  r.max_power_edges = priced ? prices.graph.num_edges() : gr.num_edges();
 
   const auto adopt = [&r](algo::topology_result t) {
     r.growth = std::move(t.growth);
@@ -189,15 +211,19 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
     r.redundant_edges = t.redundant_edges;
     r.removed_edges = t.removed_edges;
   };
+  const auto optimize = [&](algo::cbtc_result grown) {
+    return priced ? algo::apply_optimizations(std::move(grown), gpos, glink, spec.opts, prices)
+                  : algo::apply_optimizations(std::move(grown), gpos, glink, spec.opts);
+  };
   switch (spec.method.k) {
-    case method_spec::kind::oracle:
-      if (positions.size() >= spec.cbtc.relabel_min_nodes && positions.size() > 1 &&
-          link.max_range() > 0.0) {
-        adopt(relabeled_build(positions, link, spec.cbtc, spec.opts, pool));
-      } else {
-        adopt(algo::build_topology(positions, link, spec.cbtc, spec.opts));
-      }
+    case method_spec::kind::oracle: {
+      algo::topology_result t =
+          optimize(link.is_isotropic() ? algo::run_cbtc(gpos, glink, spec.cbtc)
+                                       : algo::run_cbtc(gpos, glink, spec.cbtc, prices));
+      if (relabel) restore_labels(t, perm, pool);
+      adopt(std::move(t));
       break;
+    }
     case method_spec::kind::protocol: {
       proto::protocol_run_config cfg = spec.protocol;
       cfg.agent.params = spec.cbtc;
@@ -212,18 +238,18 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
       r.has_protocol_stats = true;
       r.protocol_stats = pr.stats;
       r.completion_time = pr.completion_time;
-      adopt(algo::apply_optimizations(std::move(pr.outcome), positions, link, spec.opts));
+      adopt(optimize(std::move(pr.outcome)));
       break;
     }
     case method_spec::kind::stc: {
-      // No growth record: STC works directly off the gain-aware
-      // candidate graph, like the geometric baselines.
-      algo::stc_result sr = algo::build_stc_topology(gr, positions, link, pool);
+      // No growth record: STC works directly off the priced candidate
+      // graph, like the geometric baselines.
+      algo::stc_result sr = algo::build_stc_topology(prices, pool);
       r.topology = std::move(sr.topology);
       break;
     }
     case method_spec::kind::baseline:
-      r.topology = build_baseline(spec.method, positions, R, gr);
+      r.topology = build_baseline(spec.method, positions, R, priced ? prices.graph : gr);
       break;
   }
   if (r.has_growth) r.boundary_nodes = r.growth.boundary_count();
@@ -251,6 +277,19 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
     // propagation model; the power is the per-link budget, which for
     // isotropic gains is exactly p(rad_u).
     const bool isotropic = link.is_isotropic();
+    std::vector<std::uint32_t> label_of;  // original node -> pipeline label
+    if (!isotropic && relabel) {
+      label_of.resize(n);
+      for (std::size_t k = 0; k < n; ++k) label_of[perm[k]] = static_cast<std::uint32_t>(k);
+    }
+    // A G_R edge's power is read from the column; an edge outside G_R
+    // (a bridge-augmentation or geometric-baseline edge) is priced on
+    // the spot.
+    const auto link_power = [&](graph::node_id u, graph::node_id v) {
+      const std::optional<double> p =
+          relabel ? prices.find_power(label_of[u], label_of[v]) : prices.find_power(u, v);
+      return p ? *p : link.required_power(u, v, positions[u], positions[v]);
+    };
     struct radius_partial {
       double sum{0.0};
       double max{0.0};
@@ -267,7 +306,7 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
               const auto uid = static_cast<graph::node_id>(u);
               double need = 0.0;
               for (const graph::node_id v : r.topology.neighbors(uid)) {
-                need = std::max(need, link.required_power(uid, v, positions[u], positions[v]));
+                need = std::max(need, link_power(uid, v));
               }
               // Isolated (boundary) nodes still broadcast at P, the
               // same convention the geometric pass encodes via the
@@ -289,6 +328,15 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   double power_sum = 0.0;
   for (const double p : r.node_powers) power_sum += p;
   r.avg_power = r.nodes == 0 ? 0.0 : power_sum / static_cast<double>(r.nodes);
+
+  if (priced) {
+    // Last use of the column: free it before the permutation pass, so
+    // at most two G_R-sized arrays are alive at once.
+    prices.up_power = {};
+    prices.up_offsets = {};
+    gr = relabel ? relabel_graph(prices.graph, perm, pool) : std::move(prices.graph);
+    prices.graph = {};
+  }
 
   r.invariants = algo::check_invariants(r.topology, positions, link, gr, pool);
 

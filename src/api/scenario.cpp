@@ -1,6 +1,7 @@
 #include "api/scenario.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "geom/random_points.h"
 #include "geom/structured_points.h"
@@ -16,6 +17,11 @@ deployment_spec deployment_spec::fixed_positions(std::vector<geom::vec2> positio
 }
 
 std::vector<geom::vec2> scenario_spec::make_positions(std::uint64_t seed) const {
+  if (deploy.nodes > deployment_spec::max_nodes) {
+    throw std::invalid_argument("deployment.nodes: at most " +
+                                std::to_string(deployment_spec::max_nodes) + ", got " +
+                                std::to_string(deploy.nodes));
+  }
   const geom::bbox box = geom::bbox::rect(deploy.region_side, deploy.region_side);
   const std::uint64_t s = base_seed + seed;
   switch (deploy.kind) {

@@ -34,6 +34,12 @@ enum class deployment_kind {
 };
 
 struct deployment_spec {
+  /// Largest node count a spec may ask for: 16x the million-node runs
+  /// the static pipeline is measured at, and far below the 32-bit
+  /// node-id space. Larger counts are refused (std::invalid_argument)
+  /// when a spec is parsed or deployed, before anything is allocated.
+  static constexpr std::size_t max_nodes = std::size_t{1} << 24;
+
   deployment_kind kind{deployment_kind::uniform};
   std::size_t nodes{100};
   double region_side{1500.0};

@@ -139,6 +139,9 @@ deployment_spec deployment_from_jv(const jv& o) {
   deployment_spec d;
   d.kind = parse_deployment(get_str(o, "kind", "uniform"));
   d.nodes = get_count(o, "nodes", d.nodes);
+  require(d.nodes <= deployment_spec::max_nodes,
+          "deployment.nodes: at most " + std::to_string(deployment_spec::max_nodes) + ", got " +
+              std::to_string(d.nodes));
   d.region_side = get_num(o, "region_side", d.region_side);
   d.clusters = get_count(o, "clusters", d.clusters);
   d.cluster_sigma = get_num(o, "cluster_sigma", d.cluster_sigma);

@@ -128,9 +128,15 @@ double propagation_model::gain(std::uint32_t u, std::uint32_t v, const geom::vec
       return db_to_gain(x_db);
     }
     case propagation_kind::obstacle_field: {
+      // Clip from the lower (original) id's endpoint: slab clipping
+      // rounds differently from each end of a segment that grazes a
+      // corner, so a fixed endpoint order is what makes
+      // gain(u, v) == gain(v, u) exactly.
+      const geom::vec2& a = u <= v ? pu : pv;
+      const geom::vec2& b = u <= v ? pv : pu;
       double loss_db = 0.0;
       for (const obstacle& o : *obstacles_) {
-        if (segment_intersects_box(o.box, pu, pv)) loss_db += o.loss_db;
+        if (segment_intersects_box(o.box, a, b)) loss_db += o.loss_db;
       }
       return loss_db == 0.0 ? 1.0 : db_to_gain(-loss_db);
     }

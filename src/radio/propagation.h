@@ -21,13 +21,19 @@
 //                            and thread count.
 //   * obstacle_field       — axis-aligned attenuating rectangles; a
 //                            link loses loss_db per rectangle its
-//                            segment crosses.
+//                            segment crosses. The segment is clipped
+//                            from the endpoint with the lower
+//                            (original) id, so the verdict cannot
+//                            depend on argument order.
 //
 // link_model composes a power_model with a propagation_model and is
 // what reachability consumers (max-power graph, oracle growth, the
 // medium, the live index, invariant checks) thread through. All gains
-// are pure functions of (model, u, v, positions), so every
-// deterministic-reduction contract of the engine survives unchanged.
+// are pure functions of (model, u, v, positions) and bitwise
+// symmetric, so every deterministic-reduction contract of the engine
+// survives unchanged, and a static run can price each link once (the
+// priced G_R of graph/euclidean.h) and let every later pass read that
+// price from either endpoint.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +83,10 @@ class propagation_model {
   /// Attenuating axis-aligned rectangles; gains are always <= 1.
   [[nodiscard]] static propagation_model obstacle_field(std::vector<obstacle> obstacles);
 
-  /// The gain of link {u, v} (symmetric: gain(u, v) == gain(v, u)).
-  /// Positions only matter for obstacle fields; ids only for shadowing.
+  /// The gain of link {u, v}, bitwise symmetric: gain(u, v, pu, pv) ==
+  /// gain(v, u, pv, pu). Positions only matter for obstacle fields
+  /// (clipped in original-id order); ids only for shadowing (hashed as
+  /// the unordered pair).
   [[nodiscard]] double gain(std::uint32_t u, std::uint32_t v, const geom::vec2& pu,
                             const geom::vec2& pv) const;
 

@@ -90,11 +90,12 @@ TEST(GainRemoval, PreservesInvariantsAcrossModels) {
     const std::vector<vec2> positions = field(90, seed);
     for (const auto& [name, link] : all_links(seed)) {
       const graph::undirected_graph g = grown_topology(positions, link);
-      const graph::undirected_graph c = graph::build_max_power_graph(positions, link, pool);
+      const graph::priced_graph c = graph::build_priced_max_power_graph(positions, link, pool);
       for (const bool remove_all : {false, true}) {
         const gain_removal_result res =
             apply_gain_aware_removal(g, c, positions, link, {.remove_all = remove_all}, pool);
-        const invariant_report inv = check_invariants(res.topology, positions, link, c, pool);
+        const invariant_report inv =
+            check_invariants(res.topology, positions, link, c.graph, pool);
         EXPECT_TRUE(inv.ok()) << name << " seed " << seed << " remove_all " << remove_all << ": "
                               << (inv.violations.empty() ? "" : inv.violations.front());
         // The pass only filters g's edge set (plus repair re-adds).
@@ -143,9 +144,11 @@ TEST(GainRemoval, BitwiseDeterministicAcrossPoolWidths) {
     for (const auto& [name, link] : all_links(seed)) {
       const graph::undirected_graph g = grown_topology(positions, link);
       // Default (serial) pool, candidate graph built internally; every
-      // width must reproduce it from the brute-force candidate oracle.
+      // width must reproduce it from the brute-force candidate oracle,
+      // priced edge by edge with link.required_power.
       const gain_removal_result ref = apply_gain_aware_removal(g, positions, link);
-      const graph::undirected_graph brute = graph::build_max_power_graph_brute(positions, link);
+      const graph::priced_graph brute =
+          graph::price_links(graph::build_max_power_graph_brute(positions, link), positions, link);
       for (const unsigned width : {1u, 3u, 4u}) {
         util::thread_pool pool(width);
         const gain_removal_result got =

@@ -39,8 +39,9 @@ TEST(Stc, PreservesInvariantsUnderEveryModel) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const std::vector<vec2> positions = field(100, seed);
     for (const radio::link_model& link : links) {
-      const graph::undirected_graph c = graph::build_max_power_graph(positions, link, pool);
-      const stc_result res = build_stc_topology(c, positions, link, pool);
+      const graph::priced_graph priced = graph::build_priced_max_power_graph(positions, link, pool);
+      const graph::undirected_graph& c = priced.graph;
+      const stc_result res = build_stc_topology(priced, pool);
       const invariant_report inv = check_invariants(res.topology, positions, link, c, pool);
       EXPECT_TRUE(inv.ok()) << "seed " << seed << ": "
                             << (inv.violations.empty() ? "" : inv.violations.front());

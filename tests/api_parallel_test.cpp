@@ -285,6 +285,36 @@ TEST(ApiParallel, ShadowedRelabelingIsInvisible) {
   }
 }
 
+/// Obstacle gains depend on positions and, for a segment that grazes a
+/// corner, on which endpoint the clip starts from; the permuted
+/// pipeline prices every link from its lower *permuted* label, so this
+/// holds only because gains clip in original-id order. Uses the
+/// gain-aware op3, which reads the same priced G_R as growth.
+TEST(ApiParallel, ObstacleRelabelingIsInvisible) {
+  scenario_spec spec = big_spec(1);
+  spec.deploy.nodes = 900;
+  spec.deploy.region_side = 4500.0;
+  spec.radio.propagation.kind = radio::propagation_kind::obstacle_field;
+  spec.radio.propagation.obstacles = {
+      {.box = {{600.0, 700.0}, {1700.0, 1600.0}}, .loss_db = 9.0},
+      {.box = {{2500.0, 400.0}, {3500.0, 1400.0}}, .loss_db = 6.0},
+      {.box = {{900.0, 2600.0}, {2000.0, 3900.0}}, .loss_db = 9.0},
+      {.box = {{2700.0, 2400.0}, {4000.0, 3300.0}}, .loss_db = 12.0},
+  };
+  spec.opts = {.shrink_back = true, .gain_aware = true};
+  const engine eng;
+  for (const std::uint64_t seed : {0ull, 5ull}) {
+    const run_report reference = eng.run(spec, seed);
+    for (const unsigned threads : {1u, 4u}) {
+      scenario_spec relabeled = spec;
+      relabeled.cbtc.intra_threads = threads;
+      relabeled.cbtc.relabel_min_nodes = 0;
+      SCOPED_TRACE(::testing::Message() << "seed=" << seed << " threads=" << threads);
+      expect_bitwise_equal(reference, eng.run(relabeled, seed));
+    }
+  }
+}
+
 /// Discrete growth mode runs the same relabeled build path.
 TEST(ApiParallel, RelabelingIsInvisibleInDiscreteGrowth) {
   scenario_spec off = big_spec(4);

@@ -226,6 +226,22 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   EXPECT_THROW(
       parse_scenario_json(R"({"scenario": {}, "sim": {"partition": {"regions": 4.5}}})"),
       std::invalid_argument);
+  // Node counts past deployment_spec::max_nodes are refused at parse
+  // time, before a position array is sized; the million-node runs the
+  // pipeline is measured at stay accepted.
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 4294967300}}})"),
+               std::invalid_argument);
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1000000000000}}})"),
+      std::invalid_argument);
+  EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 16777217}}})"),
+               std::invalid_argument);
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {"deployment": {"nodes": 1000000}}})")
+                .scenario.deploy.nodes,
+            1000000u);
+  scenario_spec oversized;
+  oversized.deploy.nodes = deployment_spec::max_nodes + 1;
+  EXPECT_THROW((void)oversized.make_positions(0), std::invalid_argument);
   // Positions without kind "fixed" would silently run a different
   // network than the file describes.
   EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),

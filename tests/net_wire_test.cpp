@@ -200,6 +200,21 @@ TEST(WireTest, MalformedMessagesAreRejected) {
                  std::invalid_argument)
         << frame;
   }
+  // A node count past deployment_spec::max_nodes (here 2^32 + 4, which
+  // must not wrap to 4 either) is refused at decode, before a shard
+  // sizes a position array for it.
+  {
+    wire::batch_request big;
+    big.mode = wire::batch_mode::static_runs;
+    big.scenario = *api::find_scenario("paper_table1");
+    big.scenario.deploy.nodes = (std::size_t{1} << 32) + 4;
+    big.seeds = {0, 1};
+    big.blocks = {0, 1};
+    const std::string frame = wire::encode_batch_request(big);
+    EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+                 std::invalid_argument)
+        << frame;
+  }
   // Region counts and sink ids are refused at decode too: an oversized
   // lane grid must not be allocated, and values past 32 bits must not
   // wrap to small ones (2^32 + 16 regions, 2^32 + 3 as the sink).

@@ -8,7 +8,9 @@
 //     clamp, and independent of call order and thread count;
 //   * obstacle gains follow segment-rectangle intersections exactly;
 //   * the gain-aware max-power graph (grid) matches the O(n^2) brute
-//     reference, and the live_neighbor_index maintains it exactly
+//     reference, its price column is link.required_power bit for bit
+//     from either endpoint, and growth over the priced rows matches an
+//     O(n^2) reference; and the live_neighbor_index maintains it exactly
 //     through arbitrary churn (moves, crashes, restarts);
 //   * the medium's delivery decisions and reception powers carry the
 //     per-link budget, so a receiver's power estimate equals the true
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "algo/oracle.h"
+#include "geom/angle.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
@@ -261,6 +264,190 @@ TEST(Propagation, OracleUnderShadowingIsThreadCountInvariantAndFeasible) {
                                                positions[u], positions[rec.id]);
         EXPECT_LE(req, link.max_power() * (1.0 + 1e-12)) << u << "->" << rec.id;
         EXPECT_LE(req, serial.nodes[u].final_power * (1.0 + 1e-12)) << u << "->" << rec.id;
+      }
+    }
+  }
+}
+
+// ---- the priced G_R: each link priced once ---------------------------
+
+TEST(Propagation, ObstacleGainIsSymmetricOnCornerGrazingSegments) {
+  const geom::bbox box{{300.0, 300.0}, {700.0, 650.0}};
+  const radio::propagation_model m =
+      radio::propagation_model::obstacle_field({{.box = box, .loss_db = 9.0}});
+  const vec2 p{82.162154953285466, 693.65803357602135};
+  const vec2 q{410.29777309723329, 100.67924168107766};
+  // Slab clipping rounds this corner-grazing segment differently from
+  // its two ends; the gain must not inherit that.
+  ASSERT_NE(radio::segment_intersects_box(box, p, q), radio::segment_intersects_box(box, q, p));
+  EXPECT_EQ(m.gain(0, 1, p, q), m.gain(1, 0, q, p));
+  EXPECT_EQ(m.gain(0, 1, p, q), 1.0);  // clipped from node 0's end
+  // Relabeling translates ids first, so the clip order is the
+  // original ids' order whatever the caller's labels are.
+  const radio::propagation_model swapped = m.relabeled({1, 0});
+  EXPECT_EQ(swapped.gain(1, 0, p, q), 1.0);
+  EXPECT_EQ(swapped.gain(0, 1, q, p), 1.0);
+
+  // Segments aimed at the box corners, swept densely: every one must
+  // price the same from both ends.
+  std::mt19937_64 rng(9);
+  std::uniform_real_distribution<double> coord(0.0, 1000.0);
+  const vec2 corners[4] = {{300.0, 300.0}, {700.0, 300.0}, {300.0, 650.0}, {700.0, 650.0}};
+  for (int i = 0; i < 20000; ++i) {
+    const vec2 a{coord(rng), coord(rng)};
+    const vec2 c = corners[i % 4];
+    const vec2 b = c + (c - a) * (0.2 + 0.6 * (static_cast<double>(i % 7) / 7.0));
+    ASSERT_EQ(m.gain(0, 1, a, b), m.gain(1, 0, b, a)) << i;
+  }
+}
+
+TEST(Propagation, PricedMaxPowerGraphColumnMatchesRequiredPowerBitwise) {
+  const radio::power_model pm(2.0, 500.0);
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    const auto positions = random_field(300, 1800.0, seed);
+    const std::vector<radio::link_model> links{{pm, shadowing(seed)}, {pm, two_blocks()}};
+    for (const radio::link_model& link : links) {
+      const graph::undirected_graph brute = graph::build_max_power_graph_brute(positions, link);
+      for (const unsigned width : {1u, 4u}) {
+        util::thread_pool pool(width);
+        const graph::priced_graph priced =
+            graph::build_priced_max_power_graph(positions, link, pool);
+        ASSERT_EQ(priced.graph, brute);
+        ASSERT_EQ(priced.up_power.size(), brute.num_edges());
+        for (graph::node_id u = 0; u < positions.size(); ++u) {
+          std::vector<graph::node_id> visited;
+          priced.any_link(u, [&](graph::node_id v, double power) {
+            const double want = link.required_power(u, v, positions[u], positions[v]);
+            EXPECT_EQ(power, want) << u << "-" << v;
+            EXPECT_EQ(*priced.find_power(v, u), want) << u << "-" << v;
+            EXPECT_EQ(link.required_power(v, u, positions[v], positions[u]), want);
+            visited.push_back(v);
+            return false;
+          });
+          const std::span<const graph::node_id> nb = priced.graph.neighbors(u);
+          EXPECT_TRUE(std::equal(visited.begin(), visited.end(), nb.begin(), nb.end())) << u;
+        }
+        // Non-edges have no price.
+        for (graph::node_id u = 0; u + 1 < positions.size(); ++u) {
+          if (!brute.has_edge(u, u + 1)) {
+            EXPECT_FALSE(priced.find_power(u, u + 1).has_value());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Propagation, PricedMaxPowerGraphUnderRelabelingReadsOriginalPrices) {
+  const radio::power_model pm(2.0, 500.0);
+  const auto positions = random_field(250, 1600.0, 4);
+  std::vector<std::uint32_t> perm(positions.size());
+  for (std::uint32_t k = 0; k < perm.size(); ++k) perm[k] = (k * 97 + 13) % 250;
+  std::vector<vec2> rpos(positions.size());
+  for (std::size_t k = 0; k < perm.size(); ++k) rpos[k] = positions[perm[k]];
+  for (const radio::link_model& link :
+       {radio::link_model(pm, shadowing(4)), radio::link_model(pm, two_blocks())}) {
+    const graph::priced_graph priced =
+        graph::build_priced_max_power_graph(rpos, link.relabeled(perm));
+    for (graph::node_id k = 0; k < rpos.size(); ++k) {
+      for (const graph::node_id l : priced.graph.neighbors(k)) {
+        EXPECT_EQ(*priced.find_power(k, l),
+                  link.required_power(perm[k], perm[l], positions[perm[k]], positions[perm[l]]))
+            << k << "-" << l;
+      }
+    }
+  }
+}
+
+/// O(n^2) reference growth by required link power: every node whose
+/// link closes at P, ordered by (required power, id) and run through
+/// Figure 1 (discrete) or one admission per level (continuous).
+algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
+                                        const radio::link_model& link,
+                                        const algo::cbtc_params& params) {
+  struct cand {
+    double req;
+    graph::node_id id;
+  };
+  const double cap = link.max_power() * (1.0 + 1e-12);
+  const double p0 = link.power().required_power(link.max_range() / 16.0);
+  algo::cbtc_result out;
+  out.params = params;
+  out.nodes.resize(positions.size());
+  for (graph::node_id u = 0; u < positions.size(); ++u) {
+    std::vector<cand> cands;
+    for (graph::node_id v = 0; v < positions.size(); ++v) {
+      if (v == u) continue;
+      const double req = link.required_power(u, v, positions[u], positions[v]);
+      if (req <= cap) cands.push_back({req, v});
+    }
+    std::sort(cands.begin(), cands.end(), [](const cand& a, const cand& b) {
+      return a.req != b.req ? a.req < b.req : a.id < b.id;
+    });
+    algo::node_result& res = out.nodes[u];
+    std::vector<double> dirs;
+    const auto admit = [&](const cand& c, double p) {
+      const vec2 d = positions[c.id] - positions[u];
+      res.neighbors.push_back({c.id, d.norm(), d.bearing(),
+                               static_cast<std::uint32_t>(res.level_powers.size() - 1), p});
+      if (d.norm() > 0.0) dirs.push_back(d.bearing());
+    };
+    std::size_t next = 0;
+    if (params.mode == algo::growth_mode::discrete) {
+      double p = p0;
+      while (p < link.max_power() && geom::has_alpha_gap(dirs, params.alpha)) {
+        p = std::min(p * params.increase_factor, link.max_power());
+        res.level_powers.push_back(p);
+        for (; next < cands.size() && cands[next].req <= p * (1.0 + 1e-12); ++next) {
+          admit(cands[next], p);
+        }
+      }
+      res.final_power = res.level_powers.empty() ? p0 : res.level_powers.back();
+      res.boundary = geom::has_alpha_gap(dirs, params.alpha);
+    } else {
+      for (; next < cands.size() && geom::has_alpha_gap(dirs, params.alpha); ++next) {
+        res.level_powers.push_back(std::min(cands[next].req, link.max_power()));
+        admit(cands[next], res.level_powers.back());
+      }
+      res.boundary = geom::has_alpha_gap(dirs, params.alpha);
+      if (res.boundary) res.level_powers.push_back(link.max_power());
+      res.final_power = res.level_powers.empty() ? 0.0 : res.level_powers.back();
+    }
+    std::sort(res.neighbors.begin(), res.neighbors.end(),
+              [](const algo::neighbor_record& a, const algo::neighbor_record& b) {
+                return a.distance != b.distance ? a.distance < b.distance : a.id < b.id;
+              });
+  }
+  return out;
+}
+
+TEST(Propagation, LinkGrowthOverPricedRowsMatchesQuadraticReference) {
+  const radio::power_model pm(2.0, 500.0);
+  const auto positions = random_field(220, 1700.0, 31);
+  for (const radio::link_model& link :
+       {radio::link_model(pm, shadowing(31)), radio::link_model(pm, two_blocks())}) {
+    for (const auto mode : {algo::growth_mode::discrete, algo::growth_mode::continuous}) {
+      algo::cbtc_params params;
+      params.mode = mode;
+      const algo::cbtc_result want = reference_link_growth(positions, link, params);
+      for (const unsigned threads : {1u, 4u}) {
+        params.intra_threads = threads;
+        const algo::cbtc_result got = algo::run_cbtc(positions, link, params);
+        for (std::size_t u = 0; u < positions.size(); ++u) {
+          const algo::node_result& a = got.nodes[u];
+          const algo::node_result& b = want.nodes[u];
+          SCOPED_TRACE(::testing::Message() << "node " << u << " threads " << threads);
+          EXPECT_EQ(a.level_powers, b.level_powers);
+          EXPECT_EQ(a.final_power, b.final_power);
+          EXPECT_EQ(a.boundary, b.boundary);
+          ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
+          for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
+            EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id);
+            EXPECT_EQ(a.neighbors[i].level, b.neighbors[i].level);
+            EXPECT_EQ(a.neighbors[i].discovery_power, b.neighbors[i].discovery_power);
+            EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance);
+          }
+        }
       }
     }
   }

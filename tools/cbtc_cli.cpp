@@ -152,8 +152,20 @@ int usage() {
   return 2;
 }
 
+/// --nodes, refused above deployment_spec::max_nodes before anything
+/// is allocated.
+std::size_t node_count(const cli_args& args, std::size_t fallback) {
+  const std::size_t nodes = args.count("nodes", fallback);
+  if (nodes > api::deployment_spec::max_nodes) {
+    throw usage_error("option --nodes: at most " +
+                      std::to_string(api::deployment_spec::max_nodes) + ", got " +
+                      std::to_string(nodes));
+  }
+  return nodes;
+}
+
 int cmd_generate(const cli_args& args) {
-  const std::size_t nodes = args.count("nodes", 100);
+  const std::size_t nodes = node_count(args, 100);
   const double side = args.num("region", 1500.0);
   const auto seed = static_cast<std::uint64_t>(args.count("seed", 1));
   const std::string layout = args.get("layout", "uniform");
@@ -424,7 +436,7 @@ sweep_setup resolve_sweep(const cli_args& args) {
   }
   if (args.has_flag("gain-aware")) spec.opts.gain_aware = true;
   if (args.options.contains("alpha")) spec.cbtc.alpha = args.num("alpha", spec.cbtc.alpha);
-  if (args.options.contains("nodes")) spec.deploy.nodes = args.count("nodes", spec.deploy.nodes);
+  if (args.options.contains("nodes")) spec.deploy.nodes = node_count(args, spec.deploy.nodes);
   if (args.options.contains("region")) {
     spec.deploy.region_side = args.num("region", spec.deploy.region_side);
   }
