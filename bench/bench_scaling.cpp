@@ -336,13 +336,15 @@ graph::digraph closure_instance(std::int64_t nodes) {
   const auto positions = make_positions(nodes);
   util::thread_pool pool(0);
   const graph::undirected_graph gr = graph::build_max_power_graph(positions, pm, pool);
-  std::vector<std::vector<graph::node_id>> out(gr.num_nodes());
+  std::vector<std::size_t> offsets(gr.num_nodes() + 1, 0);
+  std::vector<graph::node_id> arcs;
   for (graph::node_id u = 0; u < gr.num_nodes(); ++u) {
     for (const graph::node_id v : gr.neighbors(u)) {
-      if ((u + 2u * v) % 3u != 0u) out[u].push_back(v);
+      if ((u + 2u * v) % 3u != 0u) arcs.push_back(v);
     }
+    offsets[u + 1] = arcs.size();
   }
-  return graph::digraph::from_adjacency(std::move(out));
+  return graph::digraph::from_csr(std::move(offsets), std::move(arcs));
 }
 
 /// The one symmetric_closure implementation at width 1 vs the full

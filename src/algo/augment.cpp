@@ -1,21 +1,28 @@
 #include "algo/augment.h"
 
-#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "graph/euclidean.h"
 #include "graph/robustness.h"
-#include "graph/traversal.h"
+#include "graph/union_find.h"
 
 namespace cbtc::algo {
 
 namespace {
 
-/// Component labels of `g` with edge {a, b} removed.
-graph::component_labels split_without(const graph::undirected_graph& g, const graph::edge& e) {
-  graph::undirected_graph cut = g;
-  cut.remove_edge(e.u, e.v);
-  return graph::connected_components(cut);
+/// The sides of `g` plus `added` once edge `cut` is gone: two nodes
+/// share a union-find root iff they stay connected without the cut.
+graph::union_find split_without(const graph::undirected_graph& g,
+                                const std::vector<graph::edge>& added, const graph::edge& cut) {
+  graph::union_find sides(g.num_nodes());
+  for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
+    for (const graph::node_id v : g.neighbors(u)) {
+      if (u < v && !(u == cut.u && v == cut.v)) sides.unite(u, v);
+    }
+  }
+  for (const graph::edge& e : added) sides.unite(e.u, e.v);
+  return sides;
 }
 
 }  // namespace
@@ -24,31 +31,30 @@ augment_result augment_bridge_resilience(const graph::undirected_graph& topology
                                          std::span<const geom::vec2> positions, double max_range) {
   augment_result res;
   res.topology = topology;
-  // G_R depends on R alone; the path-loss exponent is immaterial.
-  const graph::undirected_graph gr =
-      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range));
+  // G_R depends on R alone; the path-loss exponent is immaterial. Its
+  // edges are listed once: every pass scans the same candidates.
+  const std::vector<graph::edge> candidates =
+      graph::build_max_power_graph(positions, radio::power_model(2.0, max_range)).edges();
 
   // Iterate until no avoidable bridge remains. Each added edge kills at
   // least one bridge, so this terminates in O(#bridges) rounds.
   for (;;) {
     const std::vector<graph::edge> current_bridges = graph::bridges(res.topology);
-    bool fixed_any = false;
+    std::vector<graph::edge> added;  // this round's fixes, in the order they were found
     std::size_t unavoidable = 0;
 
     for (const graph::edge& bridge : current_bridges) {
       // Recompute the split for each bridge against the *current*
       // topology (earlier fixes may have already covered this one).
-      if (!res.topology.has_edge(bridge.u, bridge.v)) continue;
-      const graph::component_labels sides = split_without(res.topology, bridge);
-      if (sides.same_component(bridge.u, bridge.v)) continue;  // no longer a bridge
+      graph::union_find sides = split_without(res.topology, added, bridge);
+      if (sides.same(bridge.u, bridge.v)) continue;  // no longer a bridge
 
-      // Shortest G_R edge (other than the bridge) crossing the cut.
+      // Shortest G_R edge (other than the bridge) crossing the cut. Any
+      // other edge of the current topology joins nodes on one side.
       graph::edge best{graph::invalid_node, graph::invalid_node};
       double best_len = std::numeric_limits<double>::infinity();
-      for (const graph::edge& cand : gr.edges()) {
-        if (cand == bridge) continue;
-        if (res.topology.has_edge(cand.u, cand.v)) continue;
-        if (sides.same_component(cand.u, cand.v)) continue;
+      for (const graph::edge& cand : candidates) {
+        if (cand == bridge || sides.same(cand.u, cand.v)) continue;
         const double len = graph::edge_length(positions, cand.u, cand.v);
         if (len < best_len) {
           best_len = len;
@@ -59,15 +65,17 @@ augment_result augment_bridge_resilience(const graph::undirected_graph& topology
         ++unavoidable;  // G_R itself has no bypass for this cut
         continue;
       }
-      res.topology.add_edge(best.u, best.v);
-      ++res.edges_added;
-      fixed_any = true;
+      added.push_back(best);
     }
 
-    if (!fixed_any) {
+    if (added.empty()) {
       res.unavoidable_bridges = unavoidable;
       break;
     }
+    res.edges_added += added.size();
+    std::vector<graph::edge> edges = res.topology.edges();
+    edges.insert(edges.end(), added.begin(), added.end());
+    res.topology = graph::undirected_graph::from_edges(res.topology.num_nodes(), edges);
   }
   return res;
 }

@@ -35,11 +35,18 @@ double node_result::out_radius() const {
 }
 
 graph::digraph cbtc_result::neighbor_digraph() const {
-  graph::digraph d(nodes.size());
-  for (node_id u = 0; u < nodes.size(); ++u) {
-    for (const neighbor_record& r : nodes[u].neighbors) d.add_arc(u, r.id);
+  // Row u is N_alpha(u) in discovery order; compact_rows sorts it.
+  const std::size_t n = nodes.size();
+  std::vector<std::size_t> offsets(n + 1, 0);
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] = offsets[u] + nodes[u].neighbors.size();
+  std::vector<node_id> arcs(offsets[n]);
+  for (std::size_t u = 0; u < n; ++u) {
+    std::transform(nodes[u].neighbors.begin(), nodes[u].neighbors.end(),
+                   arcs.begin() + static_cast<std::ptrdiff_t>(offsets[u]),
+                   [](const neighbor_record& r) { return r.id; });
   }
-  return d;
+  graph::compact_rows(offsets, arcs);
+  return graph::digraph::from_csr(std::move(offsets), std::move(arcs));
 }
 
 graph::undirected_graph cbtc_result::symmetric_closure(util::thread_pool& pool) const {

@@ -20,10 +20,9 @@ stc_result build_stc_topology(const graph::priced_graph& candidates, util::threa
   const std::size_t n = candidates.graph.num_nodes();
 
   // Per-node keep decisions: each slot written by exactly one task, so
-  // the outcome is width-independent by construction. kept[u] ends up
-  // sorted by node id (the output contract of from_adjacency), with
-  // the scan itself running in ascending gain_edge_id order. Every
-  // link's price comes from the candidates' column.
+  // the outcome is width-independent by construction. The scan runs in
+  // ascending gain_edge_id order; every link's price comes from the
+  // candidates' column.
   std::vector<std::vector<graph::node_id>> kept(n);
   res.kept_links = pool.reduce<std::size_t>(
       n, 0,
@@ -55,30 +54,19 @@ stc_result build_stc_topology(const graph::priced_graph& candidates, util::threa
           }
           count += mine.size();
           kept[u] = mine;
-          std::sort(kept[u].begin(), kept[u].end());
         }
         return count;
       },
       [](std::size_t& total, const std::size_t& part) { total += part; });
   res.pruned_links = candidates.graph.num_edges() * 2 - res.kept_links;
 
-  // Symmetrize: edge {u, v} survives iff either endpoint kept it. The
-  // reverse lists are gathered serially (push order ascending in u, so
-  // they come out sorted), then merged per node in parallel.
-  std::vector<std::vector<graph::node_id>> incoming(n);
+  // Symmetrize: edge {u, v} survives iff either endpoint kept it.
+  std::vector<graph::edge> links;
+  links.reserve(res.kept_links);
   for (std::size_t u = 0; u < n; ++u) {
-    for (const graph::node_id v : kept[u]) {
-      incoming[v].push_back(static_cast<graph::node_id>(u));
-    }
+    for (const graph::node_id v : kept[u]) links.push_back({static_cast<graph::node_id>(u), v});
   }
-  std::vector<std::vector<graph::node_id>> adj(n);
-  pool.parallel_for(n, [&](std::size_t u) {
-    adj[u].resize(kept[u].size() + incoming[u].size());
-    const auto end = std::set_union(kept[u].begin(), kept[u].end(), incoming[u].begin(),
-                                    incoming[u].end(), adj[u].begin());
-    adj[u].erase(end, adj[u].end());
-  });
-  res.topology = graph::undirected_graph::from_adjacency(std::move(adj));
+  res.topology = graph::undirected_graph::from_edges(n, links);
   return res;
 }
 

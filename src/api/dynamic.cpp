@@ -87,18 +87,20 @@ dynamic_sample measure(const live_state& s, bool connectivity_ok, bool field_con
   return out;
 }
 
-bool alive_subgraph_connected(const graph::undirected_graph& g, const std::vector<bool>& alive) {
+/// True when the alive nodes form one component of `alive_g`, a graph
+/// already induced on them (the dead are isolated).
+bool alive_nodes_connected(const graph::undirected_graph& alive_g, const std::vector<bool>& alive) {
   graph::node_id first_alive = graph::invalid_node;
   std::size_t alive_count = 0;
-  for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
+  for (graph::node_id u = 0; u < alive_g.num_nodes(); ++u) {
     if (alive[u]) {
       ++alive_count;
       if (first_alive == graph::invalid_node) first_alive = u;
     }
   }
   if (alive_count <= 1) return true;
-  const auto comps = graph::connected_components(g.induced(alive));
-  for (graph::node_id u = 0; u < g.num_nodes(); ++u) {
+  const auto comps = graph::connected_components(alive_g);
+  for (graph::node_id u = 0; u < alive_g.num_nodes(); ++u) {
     if (alive[u] && !comps.same_component(u, first_alive)) return false;
   }
   return true;
@@ -575,8 +577,7 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
   // Transmitters always *pay* the real link power; the weighting only
   // biases path choice.
   const graph::node_id sink = life.sink < n ? life.sink : 0;
-  graph::undirected_graph live_gr =
-      life.policy == lifetime_policy::cooperative_adaptation ? gr : graph::undirected_graph(0);
+  graph::undirected_graph live_gr = gr;
   const auto residual = [&](graph::node_id u) { return std::max(charge[u] / battery, 1e-3); };
   const auto route_weight = [&](graph::node_id tx, graph::node_id rx) {
     const double base = cost(tx, rx);
@@ -648,22 +649,21 @@ lifetime_report engine::run_lifetime(const scenario_spec& spec, const lifetime_s
         someone_died = true;
         ++deaths;
         if (res.first_death == 0.0) res.first_death = static_cast<double>(round);
-        const std::vector<graph::node_id> nbrs(live.neighbors(u).begin(),
-                                               live.neighbors(u).end());
-        for (graph::node_id v : nbrs) live.remove_edge(u, v);
-        if (live_gr.num_nodes() > 0) {
-          const std::vector<graph::node_id> gnbrs(live_gr.neighbors(u).begin(),
-                                                  live_gr.neighbors(u).end());
-          for (graph::node_id v : gnbrs) live_gr.remove_edge(u, v);
-        }
       }
     }
     if (res.quarter_dead == 0.0 && deaths * 4 >= n) {
       res.quarter_dead = static_cast<double>(round);
     }
-    if (someone_died && !alive_subgraph_connected(gr, alive)) {
-      res.field_partition = static_cast<double>(round);
-      break;
+    if (someone_died) {
+      // The dead drop out of both views at once: the survivors'
+      // topology, and the live G_R that cooperative routing uses and
+      // the field-partition check reads.
+      live = topology.induced(alive);
+      live_gr = gr.induced(alive);
+      if (!alive_nodes_connected(live_gr, alive)) {
+        res.field_partition = static_cast<double>(round);
+        break;
+      }
     }
   }
   const auto cap = static_cast<double>(life.max_rounds);

@@ -109,6 +109,10 @@ struct method_spec {
   std::size_t yao_cones{6};  ///< baseline_kind::yao
   std::size_t knn_k{3};      ///< baseline_kind::knn
 
+  /// Largest yao_cones a spec may ask for: the Yao build sizes two
+  /// per-cone arrays, so a hostile count is refused at parse time.
+  static constexpr std::size_t max_yao_cones = 1024;
+
   [[nodiscard]] static method_spec oracle() { return {}; }
   [[nodiscard]] static method_spec protocol() { return {.k = kind::protocol}; }
   [[nodiscard]] static method_spec stc() { return {.k = kind::stc}; }

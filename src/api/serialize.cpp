@@ -257,6 +257,9 @@ method_spec method_from_jv(const jv& v) {
   check_keys(v, "method", {"name", "yao_cones", "knn_k"});
   method_spec m = parse_method(get_str(v, "name", "oracle"));
   m.yao_cones = get_count(v, "yao_cones", m.yao_cones);
+  require(m.yao_cones <= method_spec::max_yao_cones,
+          "method.yao_cones: at most " + std::to_string(method_spec::max_yao_cones) + ", got " +
+              std::to_string(m.yao_cones));
   m.knn_k = get_count(v, "knn_k", m.knn_k);
   return m;
 }

@@ -8,40 +8,6 @@
 
 namespace cbtc::graph {
 
-void digraph::materialize() {
-  if (!is_flat()) return;
-  out_.resize(num_nodes_);
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    out_[u].assign(flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]),
-                   flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]));
-  }
-  offsets_.clear();
-  offsets_.shrink_to_fit();
-  flat_.clear();
-  flat_.shrink_to_fit();
-}
-
-bool digraph::add_arc(node_id u, node_id v) {
-  if (u == v) return false;
-  materialize();
-  auto& list = out_[u];
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it != list.end() && *it == v) return false;
-  list.insert(it, v);
-  ++num_arcs_;
-  return true;
-}
-
-bool digraph::remove_arc(node_id u, node_id v) {
-  materialize();
-  auto& list = out_[u];
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it == list.end() || *it != v) return false;
-  list.erase(it);
-  --num_arcs_;
-  return true;
-}
-
 bool digraph::has_arc(node_id u, node_id v) const {
   if (u >= num_nodes_ || v >= num_nodes_) return false;
   const std::span<const node_id> list = out_neighbors(u);
@@ -58,18 +24,18 @@ bool operator==(const digraph& a, const digraph& b) {
   return true;
 }
 
-digraph digraph::from_adjacency(std::vector<std::vector<node_id>> out) {
-  digraph d(out.size());
-  std::size_t total = 0;
-  for (node_id u = 0; u < out.size(); ++u) {
-    assert(std::is_sorted(out[u].begin(), out[u].end()));
-    assert(std::adjacent_find(out[u].begin(), out[u].end()) == out[u].end());
-    assert(!std::binary_search(out[u].begin(), out[u].end(), u));
-    total += out[u].size();
+digraph digraph::from_arcs(std::size_t num_nodes, const std::vector<arc>& arcs) {
+  std::vector<std::size_t> offsets(num_nodes + 1, 0);
+  for (const arc& a : arcs) {
+    assert(a.from < num_nodes && a.to < num_nodes);
+    ++offsets[a.from + 1];
   }
-  d.out_ = std::move(out);
-  d.num_arcs_ = total;
-  return d;
+  for (std::size_t u = 0; u < num_nodes; ++u) offsets[u + 1] += offsets[u];
+  std::vector<node_id> flat(offsets[num_nodes]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const arc& a : arcs) flat[cursor[a.from]++] = a.to;
+  compact_rows(offsets, flat);
+  return from_csr(std::move(offsets), std::move(flat));
 }
 
 digraph digraph::from_csr(std::vector<std::size_t> offsets, std::vector<node_id> arcs) {
@@ -96,7 +62,7 @@ digraph digraph::from_csr(std::vector<std::size_t> offsets, std::vector<node_id>
 
 undirected_graph digraph::symmetric_closure(util::thread_pool& pool) const {
   const std::size_t n = num_nodes_;
-  if (n == 0) return undirected_graph(0);
+  if (n == 0) return {};
   // In-neighbor scatter as a two-pass parallel count/fill with
   // prefix-sum offsets. The counts and fill cursors are atomic (the
   // interleaving is irrelevant: each in-segment is sorted afterwards,
@@ -161,7 +127,7 @@ undirected_graph digraph::symmetric_closure(util::thread_pool& pool) const {
 
 undirected_graph digraph::symmetric_core(util::thread_pool& pool) const {
   const std::size_t n = num_nodes_;
-  if (n == 0) return undirected_graph(0);
+  if (n == 0) return {};
   std::vector<std::size_t> deg(n);
   pool.parallel_for(n, [&](std::size_t u) {
     std::size_t count = 0;

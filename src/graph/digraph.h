@@ -6,10 +6,9 @@
 //   - E_alpha  = symmetric closure  (u,v) in N or (v,u) in N   (Section 2)
 //   - E-_alpha = symmetric core     (u,v) in N and (v,u) in N  (Section 3.2)
 //
-// Like undirected_graph, a digraph holds either nested per-node
-// vectors (mutable) or one flat CSR out-adjacency (immutable,
-// cache-dense); out_neighbors(u) returns a span either way and
-// mutation transparently converts CSR back to nested lists.
+// Like undirected_graph, a digraph is one flat CSR out-adjacency
+// (each out-list sorted ascending), built once — by from_csr from
+// assembled rows or by from_arcs from an arc list — and then only read.
 #pragma once
 
 #include <span>
@@ -21,24 +20,24 @@
 
 namespace cbtc::graph {
 
+/// The arc from -> to.
+struct arc {
+  node_id from{invalid_node};
+  node_id to{invalid_node};
+};
+
 class digraph {
  public:
+  /// The digraph on zero nodes.
   digraph() = default;
-  explicit digraph(std::size_t num_nodes) : out_(num_nodes), num_nodes_(num_nodes) {}
 
   [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] std::size_t num_arcs() const { return num_arcs_; }
 
-  /// Adds the arc u -> v; ignores duplicates and self-loops.
-  bool add_arc(node_id u, node_id v);
-  bool remove_arc(node_id u, node_id v);
   [[nodiscard]] bool has_arc(node_id u, node_id v) const;
 
   [[nodiscard]] std::span<const node_id> out_neighbors(node_id u) const {
-    if (is_flat()) {
-      return {flat_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-    }
-    return out_[u];
+    return {flat_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
   }
   [[nodiscard]] std::size_t out_degree(node_id u) const { return out_neighbors(u).size(); }
 
@@ -55,26 +54,22 @@ class digraph {
   [[nodiscard]] undirected_graph symmetric_core(
       util::thread_pool& pool = util::serial_pool()) const;
 
-  /// Logical equality regardless of representation.
+  /// Same node count and same sorted out-lists.
   friend bool operator==(const digraph& a, const digraph& b);
 
-  /// Adopts pre-built sorted out-lists wholesale (no per-arc
-  /// insertion). Contract (asserted in debug builds): each list sorted
-  /// ascending, no duplicates or self-loops.
-  [[nodiscard]] static digraph from_adjacency(std::vector<std::vector<node_id>> out);
+  /// The digraph on `num_nodes` nodes with the given arcs, in any
+  /// order; self-loops and duplicates dropped.
+  [[nodiscard]] static digraph from_arcs(std::size_t num_nodes, const std::vector<arc>& arcs);
 
-  /// Adopts a flat CSR out-adjacency wholesale; same contract.
+  /// Adopts a flat CSR out-adjacency wholesale (offsets as in
+  /// undirected_graph::from_csr). Contract (asserted in debug builds):
+  /// each list sorted ascending, no duplicates or self-loops.
   [[nodiscard]] static digraph from_csr(std::vector<std::size_t> offsets,
                                         std::vector<node_id> arcs);
 
-  [[nodiscard]] bool is_flat() const { return !offsets_.empty(); }
-
  private:
-  void materialize();
-
-  std::vector<std::vector<node_id>> out_;  // nested rep: each list sorted ascending
-  std::vector<std::size_t> offsets_;       // CSR rep (empty when nested)
-  std::vector<node_id> flat_;
+  std::vector<std::size_t> offsets_;  // num_nodes + 1 entries (empty for the zero-node digraph)
+  std::vector<node_id> flat_;         // concatenated sorted out-lists
   std::size_t num_nodes_{0};
   std::size_t num_arcs_{0};
 };

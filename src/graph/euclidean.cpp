@@ -15,7 +15,7 @@ namespace {
 undirected_graph build_csr_max_power(std::span<const geom::vec2> positions, double reach,
                                      util::thread_pool& pool) {
   const std::size_t n = positions.size();
-  if (n == 0 || reach <= 0.0) return undirected_graph(n);
+  if (n == 0 || reach <= 0.0) return undirected_graph::from_edges(n, {});
   const geom::spatial_grid grid(positions, reach);
   std::vector<std::size_t> deg(n);
   pool.parallel_for_chunks(n, util::reduce_block, [&](std::size_t lo, std::size_t hi) {
@@ -75,7 +75,7 @@ priced_graph build_csr_max_power_once(std::span<const geom::vec2> positions,
   const double reach = link.max_candidate_range();
   priced_graph out;
   if (n == 0 || reach <= 0.0) {
-    out.graph = undirected_graph(n);
+    out.graph = undirected_graph::from_edges(n, {});
     out.up_offsets.assign(n + 1, 0);
     return out;
   }
@@ -191,27 +191,27 @@ priced_graph price_links(undirected_graph g, std::span<const geom::vec2> positio
 
 undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,
                                              double max_range) {
-  undirected_graph g(positions.size());
+  std::vector<edge> edges;
   const double r_sq = max_range * max_range;
   for (node_id u = 0; u < positions.size(); ++u) {
     for (node_id v = u + 1; v < positions.size(); ++v) {
-      if (geom::distance_sq(positions[u], positions[v]) <= r_sq) g.add_edge(u, v);
+      if (geom::distance_sq(positions[u], positions[v]) <= r_sq) edges.push_back({u, v});
     }
   }
-  return g;
+  return undirected_graph::from_edges(positions.size(), edges);
 }
 
 undirected_graph build_max_power_graph_brute(std::span<const geom::vec2> positions,
                                              const radio::link_model& link) {
   if (link.is_isotropic()) return build_max_power_graph_brute(positions, link.max_range());
-  undirected_graph g(positions.size());
+  std::vector<edge> edges;
   const double max_power = link.max_power();
   for (node_id u = 0; u < positions.size(); ++u) {
     for (node_id v = u + 1; v < positions.size(); ++v) {
-      if (link.reaches(max_power, u, v, positions[u], positions[v])) g.add_edge(u, v);
+      if (link.reaches(max_power, u, v, positions[u], positions[v])) edges.push_back({u, v});
     }
   }
-  return g;
+  return undirected_graph::from_edges(positions.size(), edges);
 }
 
 double edge_length(std::span<const geom::vec2> positions, node_id u, node_id v) {

@@ -5,53 +5,24 @@
 
 namespace cbtc::graph {
 
-namespace {
-
-bool sorted_insert(std::vector<node_id>& list, node_id v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it != list.end() && *it == v) return false;
-  list.insert(it, v);
-  return true;
-}
-
-bool sorted_erase(std::vector<node_id>& list, node_id v) {
-  const auto it = std::lower_bound(list.begin(), list.end(), v);
-  if (it == list.end() || *it != v) return false;
-  list.erase(it);
-  return true;
-}
-
-}  // namespace
-
-void undirected_graph::materialize() {
-  if (!is_flat()) return;
-  adj_.resize(num_nodes_);
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    adj_[u].assign(flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u]),
-                   flat_.begin() + static_cast<std::ptrdiff_t>(offsets_[u + 1]));
+void compact_rows(std::vector<std::size_t>& offsets, std::vector<node_id>& neighbors) {
+  // Rows only shrink, so each one is rewritten in place at or before
+  // where it started; offsets[u + 1] is still the old end when row u
+  // is read.
+  std::size_t w = 0;
+  for (std::size_t u = 0; u + 1 < offsets.size(); ++u) {
+    const auto lo = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[u]);
+    const auto hi = neighbors.begin() + static_cast<std::ptrdiff_t>(offsets[u + 1]);
+    std::sort(lo, hi);
+    const std::size_t start = w;
+    offsets[u] = start;
+    for (auto it = lo; it != hi; ++it) {
+      if (*it == u || (w > start && neighbors[w - 1] == *it)) continue;
+      neighbors[w++] = *it;
+    }
   }
-  offsets_.clear();
-  offsets_.shrink_to_fit();
-  flat_.clear();
-  flat_.shrink_to_fit();
-}
-
-bool undirected_graph::add_edge(node_id u, node_id v) {
-  if (u == v) return false;
-  materialize();
-  if (!sorted_insert(adj_[u], v)) return false;
-  sorted_insert(adj_[v], u);
-  ++num_edges_;
-  return true;
-}
-
-bool undirected_graph::remove_edge(node_id u, node_id v) {
-  if (u == v) return false;
-  materialize();
-  if (!sorted_erase(adj_[u], v)) return false;
-  sorted_erase(adj_[v], u);
-  --num_edges_;
-  return true;
+  offsets.back() = w;
+  neighbors.resize(w);
 }
 
 bool undirected_graph::has_edge(node_id u, node_id v) const {
@@ -71,33 +42,38 @@ bool operator==(const undirected_graph& a, const undirected_graph& b) {
 }
 
 undirected_graph undirected_graph::induced(const std::vector<bool>& mask) const {
-  undirected_graph g(num_nodes());
+  const auto kept = [&mask](node_id u) { return u < mask.size() && mask[u]; };
+  std::vector<std::size_t> offsets(num_nodes_ + 1, 0);
+  std::vector<node_id> flat;
+  flat.reserve(flat_.size());
   for (node_id u = 0; u < num_nodes_; ++u) {
-    if (u >= mask.size() || !mask[u]) continue;
-    for (node_id v : neighbors(u)) {
-      if (u < v && v < mask.size() && mask[v]) g.add_edge(u, v);
+    if (kept(u)) {
+      for (const node_id v : neighbors(u)) {
+        if (kept(v)) flat.push_back(v);
+      }
     }
+    offsets[u + 1] = flat.size();
   }
-  return g;
+  return from_csr(std::move(offsets), std::move(flat));
 }
 
-undirected_graph undirected_graph::from_adjacency(std::vector<std::vector<node_id>> adj) {
-  undirected_graph g(adj.size());
-  std::size_t total_degree = 0;
-  for (node_id u = 0; u < adj.size(); ++u) {
-    assert(std::is_sorted(adj[u].begin(), adj[u].end()));
-    assert(std::adjacent_find(adj[u].begin(), adj[u].end()) == adj[u].end());
-    assert(!std::binary_search(adj[u].begin(), adj[u].end(), u));
-#ifndef NDEBUG
-    for (const node_id v : adj[u]) {
-      assert(std::binary_search(adj[v].begin(), adj[v].end(), u));  // symmetric
-    }
-#endif
-    total_degree += adj[u].size();
+undirected_graph undirected_graph::from_edges(std::size_t num_nodes,
+                                              const std::vector<edge>& edges) {
+  std::vector<std::size_t> offsets(num_nodes + 1, 0);
+  for (const edge& e : edges) {
+    assert(e.u < num_nodes && e.v < num_nodes);
+    ++offsets[e.u + 1];
+    ++offsets[e.v + 1];
   }
-  g.adj_ = std::move(adj);
-  g.num_edges_ = total_degree / 2;
-  return g;
+  for (std::size_t u = 0; u < num_nodes; ++u) offsets[u + 1] += offsets[u];
+  std::vector<node_id> flat(offsets[num_nodes]);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const edge& e : edges) {
+    flat[cursor[e.u]++] = e.v;
+    flat[cursor[e.v]++] = e.u;
+  }
+  compact_rows(offsets, flat);
+  return from_csr(std::move(offsets), std::move(flat));
 }
 
 undirected_graph undirected_graph::from_csr(std::vector<std::size_t> offsets,
@@ -126,17 +102,6 @@ undirected_graph undirected_graph::from_csr(std::vector<std::size_t> offsets,
   g.offsets_ = std::move(offsets);
   g.flat_ = std::move(neighbors);
   return g;
-}
-
-undirected_graph undirected_graph::flattened() const {
-  std::vector<std::size_t> offsets(num_nodes_ + 1, 0);
-  for (node_id u = 0; u < num_nodes_; ++u) offsets[u + 1] = offsets[u] + degree(u);
-  std::vector<node_id> flat(offsets.back());
-  for (node_id u = 0; u < num_nodes_; ++u) {
-    const std::span<const node_id> list = neighbors(u);
-    std::copy(list.begin(), list.end(), flat.begin() + static_cast<std::ptrdiff_t>(offsets[u]));
-  }
-  return from_csr(std::move(offsets), std::move(flat));
 }
 
 std::vector<edge> undirected_graph::edges() const {

@@ -10,7 +10,7 @@ live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions, 
       positions_(positions.begin(), positions.end()),
       live_(positions.size(), true),
       live_count_(positions.size()),
-      adj_(positions.size()) {
+      rows_(positions.size()) {
   build();
 }
 
@@ -22,7 +22,7 @@ live_neighbor_index::live_neighbor_index(std::span<const geom::vec2> positions,
       positions_(positions.begin(), positions.end()),
       live_(positions.size(), true),
       live_count_(positions.size()),
-      adj_(positions.size()) {
+      rows_(positions.size()) {
   if (link_) {
     position_dependent_gain_ =
         link_->propagation().kind() == radio::propagation_kind::obstacle_field;
@@ -112,18 +112,18 @@ void live_neighbor_index::filter_reachable(node_id u,
 }
 
 void live_neighbor_index::link(node_id u, node_id v) {
-  auto& au = adj_[u];
+  auto& au = rows_[u];
   au.insert(std::lower_bound(au.begin(), au.end(), v), v);
-  auto& av = adj_[v];
+  auto& av = rows_[v];
   av.insert(std::lower_bound(av.begin(), av.end(), u), u);
   ++num_edges_;
   ++version_;
 }
 
 void live_neighbor_index::unlink(node_id u, node_id v) {
-  auto& au = adj_[u];
+  auto& au = rows_[u];
   au.erase(std::lower_bound(au.begin(), au.end(), v));
-  auto& av = adj_[v];
+  auto& av = rows_[v];
   av.erase(std::lower_bound(av.begin(), av.end(), u));
   --num_edges_;
   ++version_;
@@ -149,7 +149,7 @@ void live_neighbor_index::move(node_id u, const geom::vec2& p) {
   std::sort(scratch_.begin(), scratch_.end());
 
   // Diff the sorted old and new neighbor sets.
-  const std::vector<node_id> old = adj_[u];
+  const std::vector<node_id> old = rows_[u];
   std::size_t i = 0;
   std::size_t j = 0;
   while (i < old.size() || j < scratch_.size()) {
@@ -169,7 +169,7 @@ void live_neighbor_index::move(node_id u, const geom::vec2& p) {
 void live_neighbor_index::erase(node_id u) {
   if (!live_[u]) return;
   note_churn(u);
-  const std::vector<node_id> nbrs = adj_[u];
+  const std::vector<node_id> nbrs = rows_[u];
   for (const node_id v : nbrs) unlink(u, v);
   grid_.erase(u);
   live_[u] = false;
@@ -197,16 +197,17 @@ void live_neighbor_index::insert(node_id u, const geom::vec2& p) {
 }
 
 undirected_graph live_neighbor_index::graph() const {
-  undirected_graph g(adj_.size());
-  for (node_id u = 0; u < adj_.size(); ++u) {
-    for (const node_id v : adj_[u]) {
-      if (u < v) g.add_edge(u, v);
-    }
-  }
-  return g;
+  // The rows are sorted and symmetric already (link / unlink keep them
+  // so): the snapshot is their concatenation.
+  std::vector<std::size_t> offsets(rows_.size() + 1, 0);
+  for (std::size_t u = 0; u < rows_.size(); ++u) offsets[u + 1] = offsets[u] + rows_[u].size();
+  std::vector<node_id> flat;
+  flat.reserve(offsets.back());
+  for (const std::vector<node_id>& row : rows_) flat.insert(flat.end(), row.begin(), row.end());
+  return undirected_graph::from_csr(std::move(offsets), std::move(flat));
 }
 
-closure_mirror::closure_mirror(std::size_t n) : adj_(n), live_(n, true), live_count_(n) {}
+closure_mirror::closure_mirror(std::size_t n) : rows_(n), live_(n, true), live_count_(n) {}
 
 void closure_mirror::add_arc(node_id u, node_id v) {
   if (u == v) return;
@@ -219,8 +220,8 @@ void closure_mirror::add_arc(node_id u, node_id v) {
       list.insert(it, {w, 1});
     }
   };
-  bump(adj_[u], v);
-  bump(adj_[v], u);
+  bump(rows_[u], v);
+  bump(rows_[v], u);
 }
 
 void closure_mirror::remove_arc(node_id u, node_id v) {
@@ -231,8 +232,8 @@ void closure_mirror::remove_arc(node_id u, node_id v) {
     if (it == list.end() || it->v != w) return;  // tolerated: erase of unknown arc
     if (--it->arcs == 0) list.erase(it);
   };
-  drop(adj_[u], v);
-  drop(adj_[v], u);
+  drop(rows_[u], v);
+  drop(rows_[v], u);
 }
 
 void closure_mirror::set_live(node_id u, bool up) {
@@ -246,16 +247,18 @@ void closure_mirror::set_live(node_id u, bool up) {
 }
 
 undirected_graph closure_mirror::live_graph() const {
-  const std::size_t n = adj_.size();
-  std::vector<std::vector<node_id>> out(n);
+  const std::size_t n = rows_.size();
+  std::vector<std::size_t> offsets(n + 1, 0);
+  std::vector<node_id> flat;
   for (node_id u = 0; u < n; ++u) {
-    if (!live_[u]) continue;
-    out[u].reserve(adj_[u].size());
-    for (const entry& e : adj_[u]) {
-      if (live_[e.v]) out[u].push_back(e.v);
+    if (live_[u]) {
+      for (const entry& e : rows_[u]) {
+        if (live_[e.v]) flat.push_back(e.v);
+      }
     }
+    offsets[u + 1] = flat.size();
   }
-  return undirected_graph::from_adjacency(std::move(out));
+  return undirected_graph::from_csr(std::move(offsets), std::move(flat));
 }
 
 namespace {
@@ -288,7 +291,7 @@ bool uf_unite(std::vector<node_id>& parent, std::vector<std::uint32_t>& size, no
 }
 
 /// Forest of an adjacency view `view(u, emit)` (every edge visible from
-/// both endpoints), flattened so parent[u] is u's root. Returns the
+/// both endpoints), path-compressed so parent[u] is u's root. Returns the
 /// number of components, isolated nodes included.
 template <class NeighborView>
 std::size_t build_forest(std::size_t n, NeighborView&& view, std::vector<node_id>& parent,

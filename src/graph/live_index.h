@@ -68,7 +68,7 @@ class live_neighbor_index {
   [[nodiscard]] const geom::vec2& position(node_id u) const { return positions_[u]; }
 
   /// Sorted live neighbors of `u` (empty when down).
-  [[nodiscard]] std::span<const node_id> neighbors(node_id u) const { return adj_[u]; }
+  [[nodiscard]] std::span<const node_id> neighbors(node_id u) const { return rows_[u]; }
 
   /// Snapshot as an undirected_graph (down nodes isolated); edge-set
   /// identical to build_max_power_graph(positions, R).induced(up).
@@ -144,7 +144,7 @@ class live_neighbor_index {
   std::vector<bool> live_;
   std::size_t live_count_{0};
   std::size_t num_edges_{0};
-  std::vector<std::vector<node_id>> adj_;  // sorted, live endpoints only
+  std::vector<std::vector<node_id>> rows_;  // sorted, live endpoints only
   void note_churn(node_id u) {
     if (u < region_map_.size()) ++region_churn_[region_map_[u]];
   }
@@ -196,7 +196,7 @@ class closure_mirror {
   template <class F>
   void for_each_live_neighbor(node_id u, F&& f) const {
     if (!live_[u]) return;
-    for (const entry& e : adj_[u]) {
+    for (const entry& e : rows_[u]) {
       if (live_[e.v]) f(e.v);
     }
   }
@@ -207,7 +207,7 @@ class closure_mirror {
     std::uint8_t arcs;  // directed arcs between the pair (1 or 2)
   };
 
-  std::vector<std::vector<entry>> adj_;  // sorted by v
+  std::vector<std::vector<entry>> rows_;  // sorted by v
   std::vector<bool> live_;
   std::size_t live_count_;
 };

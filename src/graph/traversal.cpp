@@ -80,7 +80,7 @@ std::size_t uf_build(const undirected_graph& g, std::vector<node_id>& parent,
   return sets;
 }
 
-/// Every edge of `a` inside one component of `b`'s flattened forest?
+/// Every edge of `a` inside one component of `b`'s forest (root_b[u] is u's root)?
 bool edges_within(const undirected_graph& a, const std::vector<node_id>& root_b, std::size_t lo,
                   std::size_t hi) {
   for (std::size_t u = lo; u < hi; ++u) {

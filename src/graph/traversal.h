@@ -66,7 +66,7 @@ struct connectivity_scratch {
                                      connectivity_scratch& scratch);
 
 /// Same, with the edge-containment check parallelized over fixed
-/// node blocks on `pool` (the forests are flattened first, so the
+/// node blocks on `pool` (the forests are path-compressed first, so the
 /// parallel phase only reads). Identical verdict for any pool width.
 [[nodiscard]] bool same_connectivity(const undirected_graph& a, const undirected_graph& b,
                                      util::thread_pool& pool, connectivity_scratch& scratch);

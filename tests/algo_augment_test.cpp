@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "algo/pipeline.h"
 #include "geom/random_points.h"
 #include "graph/euclidean.h"
@@ -22,10 +25,8 @@ TEST(Augment, FixesASimpleAvoidableBridge) {
   // 0-1-2-3, G_R contains the closing edge 3-0 (and 0-2, 1-3 are too
   // long). Every path edge is an avoidable bridge.
   const std::vector<vec2> pts{{0, 0}, {400, 0}, {400, 400}, {0, 400}};
-  graph::undirected_graph path(4);
-  path.add_edge(0, 1);
-  path.add_edge(1, 2);
-  path.add_edge(2, 3);
+  const graph::undirected_graph path =
+      graph::undirected_graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   const augment_result res = augment_bridge_resilience(path, pts, 500.0);
   EXPECT_TRUE(res.topology.has_edge(0, 3));
   EXPECT_TRUE(graph::bridges(res.topology).empty());
@@ -38,17 +39,12 @@ TEST(Augment, LeavesUnavoidableBridges) {
   // bypass. The bridge must survive and be reported.
   const std::vector<vec2> pts{{0, 0},    {100, 0},   {50, 80},     // left triangle
                               {1000, 0}, {1100, 0},  {1050, 80}};  // right triangle
-  graph::undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(3, 5);
-  // The long bridge: d(1,3) = 900 — pretend an out-of-band relay made
-  // it possible by testing with a larger range for this single link.
-  // Instead keep it in-range: use max_range 1000 for this test.
-  g.add_edge(1, 3);
+  // The long bridge {1, 3}: d(1,3) = 900 — pretend an out-of-band
+  // relay made it possible by testing with a larger range for this
+  // single link. Instead keep it in-range: use max_range 1000 for this
+  // test.
+  const graph::undirected_graph g = graph::undirected_graph::from_edges(
+      6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {1, 3}});
   const augment_result res = augment_bridge_resilience(g, pts, 1000.0);
   EXPECT_TRUE(res.topology.has_edge(1, 3));
   // G_R at range 1000 contains more cross edges (e.g. 2-5 at ~953)…
@@ -64,10 +60,8 @@ TEST(Augment, LeavesUnavoidableBridges) {
 
 TEST(Augment, NoBridgesIsNoOp) {
   const std::vector<vec2> pts{{0, 0}, {100, 0}, {50, 80}};
-  graph::undirected_graph tri(3);
-  tri.add_edge(0, 1);
-  tri.add_edge(1, 2);
-  tri.add_edge(0, 2);
+  const graph::undirected_graph tri =
+      graph::undirected_graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
   const augment_result res = augment_bridge_resilience(tri, pts, 500.0);
   EXPECT_EQ(res.edges_added, 0u);
   EXPECT_EQ(res.topology, tri);
@@ -100,9 +94,10 @@ TEST(Augment, EveryRemainingBridgeIsUnavoidable) {
     for (const graph::edge& b : graph::bridges(res.topology)) {
       // Removing the bridge must split G_R's corresponding region too:
       // no G_R edge (other than b itself) crosses the topology cut.
-      graph::undirected_graph cut = res.topology;
-      cut.remove_edge(b.u, b.v);
-      const auto sides = graph::connected_components(cut);
+      std::vector<graph::edge> kept = res.topology.edges();
+      kept.erase(std::find(kept.begin(), kept.end(), b));
+      const auto sides = graph::connected_components(
+          graph::undirected_graph::from_edges(res.topology.num_nodes(), kept));
       for (const graph::edge& ge : gr.edges()) {
         if (ge == b || res.topology.has_edge(ge.u, ge.v)) continue;
         EXPECT_TRUE(sides.same_component(ge.u, ge.v))
@@ -129,6 +124,31 @@ TEST(Augment, ConnectivityUnchanged) {
   const auto base = build_topology(pts, pm, params, optimization_set::all()).topology;
   const augment_result res = augment_bridge_resilience(base, pts, pm.max_range());
   EXPECT_TRUE(graph::same_connectivity(res.topology, base));
+}
+
+TEST(Augment, SparseRandomInstanceMatchesRecordedResult) {
+  // A sparse field (many bridges, some that G_R cannot bypass either),
+  // pinned to the result of the original per-bridge copy-and-split
+  // implementation: same counts, and the same edges added in the same
+  // places.
+  const auto pts = geom::uniform_points(90, geom::bbox::rect(3200, 3200), 41);
+  cbtc_params params;
+  const auto base = build_topology(pts, pm, params, optimization_set::all()).topology;
+  ASSERT_EQ(graph::bridges(base).size(), 25u);
+  const augment_result res = augment_bridge_resilience(base, pts, pm.max_range());
+  EXPECT_EQ(res.edges_added, 18u);
+  EXPECT_EQ(res.unavoidable_bridges, 5u);
+  std::vector<graph::edge> expected = base.edges();
+  for (const graph::edge& e : std::vector<graph::edge>{{2, 50},  {3, 49},  {3, 84},  {4, 59},
+                                                       {11, 29}, {15, 54}, {20, 50}, {21, 56},
+                                                       {22, 83}, {23, 47}, {27, 85}, {30, 39},
+                                                       {34, 40}, {48, 78}, {54, 58}, {60, 63},
+                                                       {62, 69}, {70, 89}}) {
+    EXPECT_FALSE(base.has_edge(e.u, e.v));
+    expected.push_back(e);
+  }
+  EXPECT_EQ(res.topology, graph::undirected_graph::from_edges(base.num_nodes(), expected));
+  EXPECT_EQ(res.topology.num_edges(), 130u);
 }
 
 }  // namespace

@@ -187,12 +187,8 @@ TEST(GainRemoval, PowerStretchStaysBounded) {
 TEST(GainRemoval, CoincidentNodesNeverDropZeroPowerEdges) {
   const std::vector<vec2> pts{{0, 0}, {0, 0}, {10, 0}, {5, 1}};
   const radio::link_model link(pm);
-  graph::undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 2);
-  g.add_edge(0, 3);
-  g.add_edge(2, 3);
+  const graph::undirected_graph g =
+      graph::undirected_graph::from_edges(4, {{0, 1}, {0, 2}, {1, 2}, {0, 3}, {2, 3}});
   const gain_removal_result res = apply_gain_aware_removal(g, pts, link, {.remove_all = true});
   EXPECT_TRUE(res.topology.has_edge(0, 1));
   const invariant_report inv =
@@ -202,10 +198,10 @@ TEST(GainRemoval, CoincidentNodesNeverDropZeroPowerEdges) {
 
 TEST(GainRemoval, EmptyAndSingletonGraphs) {
   const radio::link_model link(pm);
-  const graph::undirected_graph empty(0);
+  const graph::undirected_graph empty = graph::undirected_graph::from_edges(0, {});
   const std::vector<vec2> none;
   EXPECT_EQ(apply_gain_aware_removal(empty, none, link, {}).removed_edges, 0u);
-  const graph::undirected_graph lone(1);
+  const graph::undirected_graph lone = graph::undirected_graph::from_edges(1, {});
   const std::vector<vec2> one{{0, 0}};
   const gain_removal_result res = apply_gain_aware_removal(lone, one, link, {});
   EXPECT_EQ(res.topology.num_nodes(), 1u);

@@ -242,6 +242,17 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   scenario_spec oversized;
   oversized.deploy.nodes = deployment_spec::max_nodes + 1;
   EXPECT_THROW((void)oversized.make_positions(0), std::invalid_argument);
+  // So are Yao cone counts past method_spec::max_yao_cones, before the
+  // per-cone arrays are sized; the cap itself is accepted.
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"method": {"name": "yao", "yao_cones": 1e9}}})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"method": {"name": "yao", "yao_cones": 1025}}})"),
+      std::invalid_argument);
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {"method": {"name": "yao", "yao_cones": 1024}}})")
+                .scenario.method.yao_cones,
+            method_spec::max_yao_cones);
   // Positions without kind "fixed" would silently run a different
   // network than the file describes.
   EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),

@@ -1,13 +1,17 @@
-// CSR-vs-nested equivalence battery: the flat (offsets + neighbors)
-// representation must be logically indistinguishable from nested
-// adjacency — same edges, same neighbor spans, same iteration order —
-// across round-trips, mutation (which converts back to nested), and
-// the parallel constructions that now assemble CSR directly.
+// Builder-vs-brute battery: every way a graph comes into being (the
+// edge- and arc-list builders, induced subgraphs, the growth records'
+// neighbor digraph, and the parallel constructions that assemble CSR
+// directly) must give exactly the graph a test-local brute-force
+// reference adopts through from_csr — same edges, same neighbor spans,
+// same iteration order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <set>
 #include <vector>
 
+#include "algo/oracle.h"
 #include "algo/pairwise.h"
 #include "geom/spatial_order.h"
 #include "geom/vec2.h"
@@ -20,26 +24,49 @@
 namespace cbtc::graph {
 namespace {
 
-undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& rng) {
-  undirected_graph g(n);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v = u + 1; v < n; ++v) {
-      if (coin(rng) < p) g.add_edge(u, v);
-    }
-  }
-  return g;
+/// `m` uniformly random endpoint pairs over n nodes: duplicates,
+/// reversed duplicates and self-loops all occur.
+std::vector<edge> random_pairs(std::size_t n, std::size_t m, std::mt19937_64& rng) {
+  std::uniform_int_distribution<node_id> pick(0, static_cast<node_id>(n - 1));
+  std::vector<edge> pairs(m);
+  for (edge& e : pairs) e = {pick(rng), pick(rng)};
+  return pairs;
 }
 
-digraph random_digraph(std::size_t n, double p, std::mt19937_64& rng) {
-  digraph d(n);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  for (node_id u = 0; u < n; ++u) {
-    for (node_id v = 0; v < n; ++v) {
-      if (u != v && coin(rng) < p) d.add_arc(u, v);
-    }
+/// Flattens per-node sets (each already sorted and unique) into the
+/// offsets / neighbors pair from_csr adopts.
+std::pair<std::vector<std::size_t>, std::vector<node_id>> csr_of(
+    const std::vector<std::set<node_id>>& rows) {
+  std::vector<std::size_t> offsets(rows.size() + 1, 0);
+  std::vector<node_id> flat;
+  for (std::size_t u = 0; u < rows.size(); ++u) {
+    flat.insert(flat.end(), rows[u].begin(), rows[u].end());
+    offsets[u + 1] = flat.size();
   }
-  return d;
+  return {std::move(offsets), std::move(flat)};
+}
+
+/// Reference undirected graph: a set per node, straight from the
+/// definition (both directions, no self-loops).
+undirected_graph brute_graph(std::size_t n, const std::vector<edge>& pairs) {
+  std::vector<std::set<node_id>> rows(n);
+  for (const edge& e : pairs) {
+    if (e.u == e.v) continue;
+    rows[e.u].insert(e.v);
+    rows[e.v].insert(e.u);
+  }
+  auto [offsets, flat] = csr_of(rows);
+  return undirected_graph::from_csr(std::move(offsets), std::move(flat));
+}
+
+/// Reference digraph: a set of out-neighbors per node, no self-loops.
+digraph brute_digraph(std::size_t n, const std::vector<arc>& arcs) {
+  std::vector<std::set<node_id>> rows(n);
+  for (const arc& a : arcs) {
+    if (a.from != a.to) rows[a.from].insert(a.to);
+  }
+  auto [offsets, flat] = csr_of(rows);
+  return digraph::from_csr(std::move(offsets), std::move(flat));
 }
 
 std::vector<geom::vec2> random_positions(std::size_t n, double side, std::mt19937_64& rng) {
@@ -62,50 +89,85 @@ void expect_identical(const undirected_graph& a, const undirected_graph& b) {
   EXPECT_EQ(a.edges(), b.edges());
 }
 
-TEST(CsrGraph, FlattenedRoundTripRandomGraphs) {
+void expect_identical(const digraph& a, const digraph& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  EXPECT_EQ(a.num_arcs(), b.num_arcs());
+  EXPECT_TRUE(a == b);
+  for (node_id u = 0; u < a.num_nodes(); ++u) {
+    const auto na = a.out_neighbors(u);
+    const auto nb = b.out_neighbors(u);
+    ASSERT_EQ(na.size(), nb.size()) << "node " << u;
+    for (std::size_t i = 0; i < na.size(); ++i) EXPECT_EQ(na[i], nb[i]) << "node " << u;
+  }
+}
+
+TEST(GraphBuilders, FromEdgesMatchesBruteOnHostileLists) {
   std::mt19937_64 rng(20260808);
-  std::uniform_real_distribution<double> density(0.0, 0.2);
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 60);
-    const undirected_graph g = random_graph(n, density(rng), rng);
-    const undirected_graph flat = g.flattened();
-    EXPECT_TRUE(flat.is_flat());
-    EXPECT_FALSE(g.is_flat());
-    expect_identical(g, flat);
-    // And the round trip back through from_csr of a flat copy.
-    expect_identical(flat, flat.flattened());
+    const std::vector<edge> pairs = random_pairs(n, rng() % (3 * n + 1), rng);
+    const undirected_graph ref = brute_graph(n, pairs);
+    expect_identical(ref, undirected_graph::from_edges(n, pairs));
+
+    std::vector<edge> shuffled = pairs;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    expect_identical(ref, undirected_graph::from_edges(n, shuffled));
+
+    std::vector<edge> reversed;
+    for (const edge& e : pairs) reversed.push_back({e.v, e.u});
+    expect_identical(ref, undirected_graph::from_edges(n, reversed));
+
+    std::vector<edge> doubled = pairs;
+    doubled.insert(doubled.end(), reversed.begin(), reversed.end());
+    for (node_id u = 0; u < n; u += 3) doubled.push_back({u, u});
+    std::shuffle(doubled.begin(), doubled.end(), rng);
+    expect_identical(ref, undirected_graph::from_edges(n, doubled));
+
+    // The canonical edge list is a fixed point.
+    expect_identical(ref, undirected_graph::from_edges(n, ref.edges()));
   }
 }
 
-TEST(CsrGraph, HasEdgeAndInducedMatchAcrossRepresentations) {
+TEST(GraphBuilders, FromArcsMatchesBruteOnHostileLists) {
+  std::mt19937_64 rng(1776);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 60);
+    std::vector<arc> arcs;
+    for (const edge& e : random_pairs(n, rng() % (3 * n + 1), rng)) arcs.push_back({e.u, e.v});
+    const digraph ref = brute_digraph(n, arcs);
+    expect_identical(ref, digraph::from_arcs(n, arcs));
+    std::vector<arc> doubled = arcs;
+    doubled.insert(doubled.end(), arcs.begin(), arcs.end());
+    std::shuffle(doubled.begin(), doubled.end(), rng);
+    expect_identical(ref, digraph::from_arcs(n, doubled));
+  }
+}
+
+TEST(GraphBuilders, HasEdgeAndInducedMatchBruteFilter) {
   std::mt19937_64 rng(7);
-  const undirected_graph g = random_graph(40, 0.15, rng);
-  const undirected_graph flat = g.flattened();
-  for (node_id u = 0; u < 40; ++u) {
-    for (node_id v = 0; v < 40; ++v) EXPECT_EQ(g.has_edge(u, v), flat.has_edge(u, v));
-  }
-  std::vector<bool> mask(40);
-  for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng() % 2 == 0;
-  expect_identical(g.induced(mask), flat.induced(mask));
-}
-
-TEST(CsrGraph, MutationConvertsBackToNested) {
-  std::mt19937_64 rng(99);
-  undirected_graph nested = random_graph(30, 0.2, rng);
-  undirected_graph flat = nested.flattened();
-  // Apply the same random edit script to both representations.
-  std::uniform_int_distribution<node_id> pick(0, 29);
-  for (int i = 0; i < 200; ++i) {
-    const node_id u = pick(rng);
-    const node_id v = pick(rng);
-    if (rng() % 2 == 0) {
-      EXPECT_EQ(nested.add_edge(u, v), flat.add_edge(u, v));
-    } else {
-      EXPECT_EQ(nested.remove_edge(u, v), flat.remove_edge(u, v));
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t n = 1 + static_cast<std::size_t>(rng() % 50);
+    const std::vector<edge> pairs = random_pairs(n, 2 * n, rng);
+    const undirected_graph g = undirected_graph::from_edges(n, pairs);
+    std::set<std::pair<node_id, node_id>> have;
+    for (const edge& e : pairs) {
+      if (e.u == e.v) continue;
+      have.insert({e.u, e.v});
+      have.insert({e.v, e.u});
     }
+    for (node_id u = 0; u < n + 2; ++u) {
+      for (node_id v = 0; v < n + 2; ++v) EXPECT_EQ(g.has_edge(u, v), have.count({u, v}) == 1);
+    }
+    // Masks shorter than, equal to and longer than the node count.
+    std::vector<bool> mask(rng() % (n + 3));
+    for (std::size_t i = 0; i < mask.size(); ++i) mask[i] = rng() % 2 == 0;
+    const auto kept = [&](node_id u) { return u < mask.size() && mask[u]; };
+    std::vector<edge> survivors;
+    for (const edge& e : pairs) {
+      if (kept(e.u) && kept(e.v)) survivors.push_back(e);
+    }
+    expect_identical(brute_graph(n, survivors), g.induced(mask));
   }
-  EXPECT_FALSE(flat.is_flat());
-  expect_identical(nested, flat);
 }
 
 TEST(CsrGraph, FromCsrEmptyAndIsolatedNodes) {
@@ -115,28 +177,54 @@ TEST(CsrGraph, FromCsrEmptyAndIsolatedNodes) {
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_TRUE(g.neighbors(3).empty());
   EXPECT_FALSE(g.has_edge(0, 1));
+  expect_identical(g, undirected_graph::from_edges(5, {}));
+}
+
+TEST(GraphBuilders, NeighborDigraphIsTheGrowthRecordsArcSet) {
+  std::mt19937_64 rng(20010826);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n = 40 + rng() % 80;
+    const std::vector<geom::vec2> pos = random_positions(n, 1000.0, rng);
+    const radio::power_model pm(2.0, 300.0);
+    const algo::cbtc_result growth = algo::run_cbtc(pos, pm, {});
+    std::vector<arc> arcs;
+    for (node_id u = 0; u < n; ++u) {
+      for (const algo::neighbor_record& r : growth.nodes[u].neighbors) arcs.push_back({u, r.id});
+    }
+    expect_identical(brute_digraph(n, arcs), growth.neighbor_digraph());
+  }
+  // Records in any order, repeated or naming the node itself still give
+  // the arc set (the semantics of inserting arcs one at a time).
+  algo::cbtc_result hand;
+  hand.nodes.resize(4);
+  for (const node_id v : {3u, 1u, 3u, 0u, 2u}) hand.nodes[0].neighbors.push_back({.id = v});
+  for (const node_id v : {0u, 0u}) hand.nodes[2].neighbors.push_back({.id = v});
+  expect_identical(digraph::from_arcs(4, {{0, 1}, {0, 2}, {0, 3}, {2, 0}}),
+                   hand.neighbor_digraph());
 }
 
 /// Test-local O(n^2) reference for the closure (`both` false: u->v or
 /// v->u) and the core (`both` true: u->v and v->u), straight from the
 /// definitions over has_arc.
 undirected_graph reference_symmetrization(const digraph& d, bool both) {
-  undirected_graph g(d.num_nodes());
+  std::vector<edge> kept;
   for (node_id u = 0; u < d.num_nodes(); ++u) {
     for (node_id v = u + 1; v < d.num_nodes(); ++v) {
       const bool uv = d.has_arc(u, v);
       const bool vu = d.has_arc(v, u);
-      if (both ? uv && vu : uv || vu) g.add_edge(u, v);
+      if (both ? uv && vu : uv || vu) kept.push_back({u, v});
     }
   }
-  return g;
+  return brute_graph(d.num_nodes(), kept);
 }
 
 TEST(CsrDigraph, ClosureAndCoreMatchDefinitionAtAnyWidth) {
   std::mt19937_64 rng(20010601);
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t n = 1 + static_cast<std::size_t>(rng() % 80);
-    const digraph d = random_digraph(n, 0.1, rng);
+    std::vector<arc> arcs;
+    for (const edge& e : random_pairs(n, n * n / 10, rng)) arcs.push_back({e.u, e.v});
+    const digraph d = digraph::from_arcs(n, arcs);
     const undirected_graph closure = reference_symmetrization(d, false);
     const undirected_graph core = reference_symmetrization(d, true);
     for (const unsigned width : {1u, 3u, 4u}) {
@@ -147,29 +235,7 @@ TEST(CsrDigraph, ClosureAndCoreMatchDefinitionAtAnyWidth) {
   }
 }
 
-TEST(CsrDigraph, FlattenedDigraphMatchesAndMutates) {
-  std::mt19937_64 rng(31337);
-  util::thread_pool pool(3);
-  digraph d = random_digraph(50, 0.08, rng);
-  std::vector<std::size_t> off(51, 0);
-  std::vector<node_id> arcs;
-  for (node_id u = 0; u < 50; ++u) {
-    const auto nb = d.out_neighbors(u);
-    arcs.insert(arcs.end(), nb.begin(), nb.end());
-    off[u + 1] = arcs.size();
-  }
-  digraph flat = digraph::from_csr(std::move(off), std::move(arcs));
-  EXPECT_TRUE(flat.is_flat());
-  EXPECT_TRUE(flat == d);
-  expect_identical(d.symmetric_closure(pool), flat.symmetric_closure(pool));
-  expect_identical(d.symmetric_core(pool), flat.symmetric_core(pool));
-  // Mutation converts the CSR digraph back to nested lists.
-  EXPECT_EQ(d.add_arc(0, 49), flat.add_arc(0, 49));
-  EXPECT_FALSE(flat.is_flat());
-  EXPECT_TRUE(flat == d);
-}
-
-TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
+TEST(CsrGraph, PairwiseRemovalIdenticalAtAnyWidth) {
   std::mt19937_64 rng(424242);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t n = 60 + rng() % 60;
@@ -184,12 +250,9 @@ TEST(CsrGraph, PairwiseRemovalIdenticalOnCsrInputAndAnyWidth) {
     for (const unsigned width : {1u, 3u, 4u}) {
       util::thread_pool pool(width);
       const algo::pairwise_result wide = algo::apply_pairwise_removal(g, pos, opts, pool);
-      const algo::pairwise_result flat_in =
-          algo::apply_pairwise_removal(g.flattened(), pos, opts, pool);
       EXPECT_EQ(ref.redundant_edges, wide.redundant_edges) << "width " << width;
       EXPECT_EQ(ref.removed_edges, wide.removed_edges) << "width " << width;
       expect_identical(ref.topology, wide.topology);
-      expect_identical(ref.topology, flat_in.topology);
     }
   }
 }

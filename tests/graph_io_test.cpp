@@ -12,13 +12,8 @@ namespace {
 
 struct fixture {
   std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {50, 80}};
-  undirected_graph g{3};
+  undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {1, 2}});
   geom::bbox region = geom::bbox::rect(100.0, 100.0);
-
-  fixture() {
-    g.add_edge(0, 1);
-    g.add_edge(1, 2);
-  }
 };
 
 TEST(WriteSvg, WellFormedDocument) {
@@ -50,7 +45,7 @@ TEST(WriteSvg, TitleAndLabels) {
 
 TEST(WriteSvg, EmptyGraph) {
   std::ostringstream os;
-  write_svg(os, undirected_graph(0), {}, geom::bbox::rect(10, 10));
+  write_svg(os, undirected_graph::from_edges(0, {}), {}, geom::bbox::rect(10, 10));
   EXPECT_NE(os.str().find("</svg>"), std::string::npos);
 }
 

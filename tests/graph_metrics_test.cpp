@@ -17,19 +17,14 @@ namespace cbtc::graph {
 namespace {
 
 TEST(AverageDegree, HandshakeLemma) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}});
   EXPECT_DOUBLE_EQ(average_degree(g), 2.0 * 3.0 / 4.0);
-  EXPECT_DOUBLE_EQ(average_degree(undirected_graph(0)), 0.0);
+  EXPECT_DOUBLE_EQ(average_degree(undirected_graph::from_edges(0, {})), 0.0);
 }
 
 TEST(NodeRadius, FarthestNeighbor) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 0), 300.0);
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 1), 100.0);
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 2), 300.0);
@@ -37,32 +32,25 @@ TEST(NodeRadius, FarthestNeighbor) {
 
 TEST(NodeRadius, IsolatedUsesFallback) {
   const std::vector<geom::vec2> pts{{0, 0}, {10, 0}};
-  const undirected_graph g(2);
+  const undirected_graph g = undirected_graph::from_edges(2, {});
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 0, 500.0), 500.0);
   EXPECT_DOUBLE_EQ(node_radius(g, pts, 0), 0.0);
 }
 
 TEST(AverageRadius, MeanOfNodeRadii) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(average_radius(g, pts), (300.0 + 100.0 + 300.0) / 3.0);
 }
 
 TEST(MaxRadius, LargestAnywhere) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {0, 300}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {0, 2}});
   EXPECT_DOUBLE_EQ(max_radius(g, pts), 300.0);
 }
 
 TEST(DegreeHistogram, CountsPerDegree) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 3);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {0, 2}, {0, 3}});
   const auto h = degree_histogram(g);
   ASSERT_EQ(h.size(), 4u);  // max degree 3
   EXPECT_EQ(h[0], 0u);
@@ -72,8 +60,7 @@ TEST(DegreeHistogram, CountsPerDegree) {
 
 TEST(AveragePower, QuadraticCost) {
   const std::vector<geom::vec2> pts{{0, 0}, {10, 0}};
-  undirected_graph g(2);
-  g.add_edge(0, 1);
+  const undirected_graph g = undirected_graph::from_edges(2, {{0, 1}});
   EXPECT_DOUBLE_EQ(average_power(g, pts, 2.0), 100.0);
   EXPECT_DOUBLE_EQ(average_power(g, pts, 3.0), 1000.0);
 }
@@ -84,27 +71,20 @@ TEST(Dijkstra, PowerCostPrefersRelaying) {
   // Quadratic cost makes two 100-hops (2 * 100^2) cheaper than one
   // 200-hop (200^2) — the paper's motivation for topology control.
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
   const auto d = dijkstra(g, 0, power_cost(pts, 2.0));
   EXPECT_DOUBLE_EQ(d[2], 2.0 * 100.0 * 100.0);
 }
 
 TEST(Dijkstra, EuclideanCostPrefersDirect) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 50}, {200, 0}};
-  undirected_graph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
   const auto d = dijkstra(g, 0, euclidean_cost(pts));
   EXPECT_DOUBLE_EQ(d[2], 200.0);
 }
 
 TEST(Dijkstra, UnreachableIsInfinite) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}});
   const std::vector<geom::vec2> pts{{0, 0}, {1, 0}, {2, 0}};
   const auto d = dijkstra(g, 0, euclidean_cost(pts));
   EXPECT_TRUE(std::isinf(d[2]));
@@ -124,13 +104,8 @@ TEST(Stretch, IdenticalGraphsHaveUnitStretch) {
 
 TEST(Stretch, RemovingShortcutIncreasesHops) {
   const std::vector<geom::vec2> pts{{0, 0}, {100, 0}, {200, 0}};
-  undirected_graph dense(3);
-  dense.add_edge(0, 1);
-  dense.add_edge(1, 2);
-  dense.add_edge(0, 2);
-  undirected_graph sparse(3);
-  sparse.add_edge(0, 1);
-  sparse.add_edge(1, 2);
+  const undirected_graph dense = undirected_graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});
+  const undirected_graph sparse = undirected_graph::from_edges(3, {{0, 1}, {1, 2}});
   const auto s = hop_stretch(sparse, dense, 3);
   EXPECT_GT(s.max, 1.0);
   EXPECT_GE(s.mean, 1.0);
@@ -141,11 +116,7 @@ TEST(Stretch, PowerStretchCanBeBelowOneNever) {
   // cheaper; stretch >= 1 always.
   const std::vector<geom::vec2> pts{{0, 0}, {80, 10}, {160, -10}, {240, 0}, {120, 90}};
   const auto dense = build_max_power_graph(pts, radio::power_model(2.0, 200.0));
-  undirected_graph sparse(5);
-  sparse.add_edge(0, 1);
-  sparse.add_edge(1, 2);
-  sparse.add_edge(2, 3);
-  sparse.add_edge(1, 4);
+  const undirected_graph sparse = undirected_graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {1, 4}});
   const auto s = power_stretch(sparse, dense, pts, 2.0, 5);
   EXPECT_GE(s.mean, 1.0 - 1e-12);
   EXPECT_GE(s.max, s.mean);
@@ -153,7 +124,7 @@ TEST(Stretch, PowerStretchCanBeBelowOneNever) {
 
 TEST(Stretch, EmptyGraphsYieldDefaults) {
   const std::vector<geom::vec2> pts;
-  const auto s = power_stretch(undirected_graph(0), undirected_graph(0), pts, 2.0);
+  const auto s = power_stretch(undirected_graph(), undirected_graph(), pts, 2.0);
   EXPECT_DOUBLE_EQ(s.mean, 1.0);
   EXPECT_EQ(s.pairs, 0u);
 }
@@ -250,11 +221,9 @@ TEST(PooledStretch, DisconnectedTopologySkipsUnreachablePairs) {
   // Cut every edge of a few nodes out of the topology: G_R still
   // reaches them, the topology does not, so their pairs are skipped.
   stretch_instance inst = make_stretch_instance(400, 9);
-  for (node_id u = 0; u < inst.pts.size(); u += 37) {
-    const std::vector<node_id> nbrs(inst.sparse.neighbors(u).begin(),
-                                    inst.sparse.neighbors(u).end());
-    for (const node_id v : nbrs) inst.sparse.remove_edge(u, v);
-  }
+  std::vector<bool> kept(inst.pts.size(), true);
+  for (node_id u = 0; u < inst.pts.size(); u += 37) kept[u] = false;
+  inst.sparse = inst.sparse.induced(kept);
   ASSERT_GT(connected_components(inst.sparse).count, connected_components(inst.dense).count);
   const stretch_stats s = expect_width_invariant(inst.sparse, inst.dense, inst.pts, 8);
   const stretch_stats whole = power_stretch(inst.dense, inst.dense, inst.pts, 2.0, 8);

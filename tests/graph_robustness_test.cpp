@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "geom/random_points.h"
@@ -12,16 +14,37 @@
 namespace cbtc::graph {
 namespace {
 
+std::vector<edge> path_edges(std::size_t n) {
+  std::vector<edge> path;
+  for (node_id i = 0; i + 1 < n; ++i) path.push_back({i, i + 1});
+  return path;
+}
+
 undirected_graph path_graph(std::size_t n) {
-  undirected_graph g(n);
-  for (node_id i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  return undirected_graph::from_edges(n, path_edges(n));
 }
 
 undirected_graph cycle_graph(std::size_t n) {
-  undirected_graph g = path_graph(n);
-  g.add_edge(0, static_cast<node_id>(n - 1));
-  return g;
+  std::vector<edge> cycle = path_edges(n);
+  cycle.push_back({0, static_cast<node_id>(n - 1)});
+  return undirected_graph::from_edges(n, cycle);
+}
+
+/// `m` random endpoint pairs over n nodes (self-loops and repeats are
+/// dropped by the builder).
+undirected_graph random_graph(std::size_t n, int m, std::mt19937_64& rng) {
+  std::vector<edge> edges;
+  for (int e = 0; e < m; ++e) {
+    edges.push_back({static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n)});
+  }
+  return undirected_graph::from_edges(n, edges);
+}
+
+/// `g` without the edge `cut`.
+undirected_graph without(const undirected_graph& g, const edge& cut) {
+  std::vector<edge> kept = g.edges();
+  kept.erase(std::find(kept.begin(), kept.end(), cut));
+  return undirected_graph::from_edges(g.num_nodes(), kept);
 }
 
 TEST(Articulation, PathInteriorIsAllCuts) {
@@ -35,29 +58,24 @@ TEST(Articulation, CycleHasNone) {
 
 TEST(Articulation, BridgeNodeBetweenTriangles) {
   // Two triangles joined at node 2: node 2 is the unique cut vertex.
-  undirected_graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 4);
-  g.add_edge(2, 4);
+  const undirected_graph g =
+      undirected_graph::from_edges(5, {{0, 1}, {1, 2}, {0, 2}, {2, 3}, {3, 4}, {2, 4}});
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{2});
 }
 
 TEST(Articulation, StarCenter) {
-  undirected_graph g(5);
-  for (node_id i = 1; i < 5; ++i) g.add_edge(0, i);
+  const undirected_graph g = undirected_graph::from_edges(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}});
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{0});
 }
 
 TEST(Articulation, DisconnectedComponentsHandled) {
-  undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);  // path: 1 is a cut
-  g.add_edge(3, 4);
-  g.add_edge(4, 5);
-  g.add_edge(3, 5);  // triangle: no cuts
+  const undirected_graph g = undirected_graph::from_edges(6, {
+      {0, 1},
+      {1, 2},  // path: 1 is a cut
+      {3, 4},
+      {4, 5},
+      {3, 5},  // triangle: no cuts
+  });
   EXPECT_EQ(articulation_points(g), std::vector<node_id>{1});
 }
 
@@ -74,31 +92,24 @@ TEST(Bridges, CycleHasNone) {
 
 TEST(Bridges, MixedGraph) {
   // Triangle 0-1-2 with a pendant 2-3: only (2,3) is a bridge.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(0, 2);
-  g.add_edge(2, 3);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
   const auto b = bridges(g);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(b[0], (edge{2, 3}));
 }
 
 TEST(Biconnected, SmallCases) {
-  EXPECT_TRUE(is_biconnected(undirected_graph(0)));
-  EXPECT_TRUE(is_biconnected(undirected_graph(1)));
-  EXPECT_FALSE(is_biconnected(undirected_graph(2)));  // disconnected
-  undirected_graph k2(2);
-  k2.add_edge(0, 1);
+  EXPECT_TRUE(is_biconnected(undirected_graph::from_edges(0, {})));
+  EXPECT_TRUE(is_biconnected(undirected_graph::from_edges(1, {})));
+  EXPECT_FALSE(is_biconnected(undirected_graph::from_edges(2, {})));  // disconnected
+  const undirected_graph k2 = undirected_graph::from_edges(2, {{0, 1}});
   EXPECT_TRUE(is_biconnected(k2));
   EXPECT_TRUE(is_biconnected(cycle_graph(4)));
   EXPECT_FALSE(is_biconnected(path_graph(3)));
 }
 
 TEST(Biconnected, DisconnectedNever) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {2, 3}});
   EXPECT_FALSE(is_biconnected(g));
 }
 
@@ -109,10 +120,7 @@ TEST(Articulation, RemovalProperty) {
   std::mt19937_64 rng(17);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 12;
-    undirected_graph g(n);
-    for (int e = 0; e < 18; ++e) {
-      g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
-    }
+    const undirected_graph g = random_graph(n, 18, rng);
     const auto cuts = articulation_points(g);
     std::vector<bool> is_cut(n, false);
     for (node_id c : cuts) is_cut[c] = true;
@@ -120,10 +128,11 @@ TEST(Articulation, RemovalProperty) {
     const auto base = connected_components(g);
     for (node_id victim = 0; victim < n; ++victim) {
       // Build g minus victim (victim kept as isolated vertex).
-      undirected_graph h(n);
+      std::vector<edge> kept;
       for (const edge& e : g.edges()) {
-        if (e.u != victim && e.v != victim) h.add_edge(e.u, e.v);
+        if (e.u != victim && e.v != victim) kept.push_back(e);
       }
+      const undirected_graph h = undirected_graph::from_edges(n, kept);
       const auto after = connected_components(h);
       // Components among the other vertices: subtract the victim's
       // singleton (it had degree >= 1 iff it was in some component).
@@ -143,15 +152,10 @@ TEST(Bridges, RemovalProperty) {
   std::mt19937_64 rng(23);
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t n = 14;
-    undirected_graph g(n);
-    for (int e = 0; e < 16; ++e) {
-      g.add_edge(static_cast<node_id>(rng() % n), static_cast<node_id>(rng() % n));
-    }
+    const undirected_graph g = random_graph(n, 16, rng);
     const std::size_t base = connected_components(g).count;
     for (const edge& b : bridges(g)) {
-      undirected_graph h = g;
-      h.remove_edge(b.u, b.v);
-      EXPECT_EQ(connected_components(h).count, base + 1)
+      EXPECT_EQ(connected_components(without(g, b)).count, base + 1)
           << "bridge " << b.u << "-" << b.v << " trial " << trial;
     }
     // And non-bridges do not split.
@@ -161,9 +165,7 @@ TEST(Bridges, RemovalProperty) {
     };
     for (const edge& e : g.edges()) {
       if (is_bridge(e)) continue;
-      undirected_graph h = g;
-      h.remove_edge(e.u, e.v);
-      EXPECT_EQ(connected_components(h).count, base);
+      EXPECT_EQ(connected_components(without(g, e)).count, base);
     }
   }
 }

@@ -22,9 +22,8 @@ using geom::vec2;
 const edge_cost_fn unit_cost = [](node_id, node_id) { return 1.0; };
 
 TEST(DijkstraTree, UnreachableSinkKeepsInfinityAndNoParent) {
-  undirected_graph g(4);  // {0,1} connected, {2,3} connected, no bridge
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  // {0,1} connected, {2,3} connected, no bridge
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {2, 3}});
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[0], 0.0);
   EXPECT_EQ(t.dist[1], 1.0);
@@ -41,11 +40,7 @@ TEST(DijkstraTree, ZeroWeightEdgesSettleDeterministically) {
   // the (distance, node id) heap order makes the parents reproducible
   // — each node's parent is its smallest-id zero-distance neighbor
   // settled first.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(3, 0);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}});
   const edge_cost_fn zero = [](node_id, node_id) { return 0.0; };
   const shortest_path_tree a = dijkstra_tree(g, 0, zero);
   for (const double d : a.dist) EXPECT_EQ(d, 0.0);
@@ -57,15 +52,11 @@ TEST(DijkstraTree, ZeroWeightEdgesSettleDeterministically) {
 }
 
 TEST(DijkstraTree, DuplicateEdgeInsertionsDoNotSkewDistances) {
-  // add_edge ignores duplicates (and self-loops), so hammering the
+  // from_edges drops duplicates (and self-loops), so hammering the
   // same edge leaves one adjacency entry and one relaxation per hop.
-  undirected_graph g(3);
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(g.add_edge(0, 1), i == 0);
-    EXPECT_EQ(g.add_edge(1, 0), false);
-    EXPECT_EQ(g.add_edge(1, 2), i == 0);
-    EXPECT_FALSE(g.add_edge(1, 1));
-  }
+  std::vector<edge> hammered;
+  for (int i = 0; i < 5; ++i) hammered.insert(hammered.end(), {{0, 1}, {1, 0}, {1, 2}, {1, 1}});
+  const undirected_graph g = undirected_graph::from_edges(3, hammered);
   EXPECT_EQ(g.num_edges(), 2u);
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[2], 2.0);
@@ -73,7 +64,7 @@ TEST(DijkstraTree, DuplicateEdgeInsertionsDoNotSkewDistances) {
 }
 
 TEST(DijkstraTree, SingleNodeGraph) {
-  const undirected_graph g(1);
+  const undirected_graph g = undirected_graph::from_edges(1, {});
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   ASSERT_EQ(t.dist.size(), 1u);
   EXPECT_EQ(t.dist[0], 0.0);
@@ -83,11 +74,7 @@ TEST(DijkstraTree, SingleNodeGraph) {
 TEST(DijkstraTree, EqualCostTiesBreakTowardSmallerIds) {
   // Two equal-cost routes to node 3: via 1 and via 2. The heap's
   // (distance, id) order settles 1 first, so 3's parent must be 1.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
   const shortest_path_tree t = dijkstra_tree(g, 0, unit_cost);
   EXPECT_EQ(t.dist[3], 2.0);
   EXPECT_EQ(t.parent[3], 1u);

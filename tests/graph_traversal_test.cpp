@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <random>
 #include <vector>
@@ -14,13 +15,13 @@ namespace cbtc::graph {
 namespace {
 
 undirected_graph path_graph(std::size_t n) {
-  undirected_graph g(n);
-  for (node_id i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  return g;
+  std::vector<edge> path;
+  for (node_id i = 0; i + 1 < n; ++i) path.push_back({i, i + 1});
+  return undirected_graph::from_edges(n, path);
 }
 
 TEST(ConnectedComponents, SingletonNodes) {
-  const component_labels c = connected_components(undirected_graph(4));
+  const component_labels c = connected_components(undirected_graph::from_edges(4, {}));
   EXPECT_EQ(c.count, 4u);
   EXPECT_FALSE(c.same_component(0, 1));
 }
@@ -32,10 +33,7 @@ TEST(ConnectedComponents, PathIsOneComponent) {
 }
 
 TEST(ConnectedComponents, TwoIslands) {
-  undirected_graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
+  const undirected_graph g = undirected_graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}});
   const component_labels c = connected_components(g);
   EXPECT_EQ(c.count, 3u);  // {0,1,2}, {3,4}, {5}
   EXPECT_TRUE(c.same_component(0, 2));
@@ -45,14 +43,13 @@ TEST(ConnectedComponents, TwoIslands) {
 }
 
 TEST(IsConnected, EmptyAndSingleton) {
-  EXPECT_TRUE(is_connected(undirected_graph(0)));
-  EXPECT_TRUE(is_connected(undirected_graph(1)));
-  EXPECT_FALSE(is_connected(undirected_graph(2)));
+  EXPECT_TRUE(is_connected(undirected_graph::from_edges(0, {})));
+  EXPECT_TRUE(is_connected(undirected_graph::from_edges(1, {})));
+  EXPECT_FALSE(is_connected(undirected_graph::from_edges(2, {})));
 }
 
 TEST(Reachable, Basics) {
-  undirected_graph g(4);
-  g.add_edge(0, 1);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}});
   EXPECT_TRUE(reachable(g, 0, 1));
   EXPECT_TRUE(reachable(g, 1, 0));
   EXPECT_FALSE(reachable(g, 0, 2));
@@ -60,45 +57,34 @@ TEST(Reachable, Basics) {
 }
 
 TEST(SameConnectivity, IdenticalPartitions) {
-  undirected_graph a(4), b(4);
-  a.add_edge(0, 1);
-  a.add_edge(2, 3);
+  const undirected_graph a = undirected_graph::from_edges(4, {{0, 1}, {2, 3}});
   // Different edges, same partition.
-  b.add_edge(1, 0);
-  b.add_edge(3, 2);
+  const undirected_graph b = undirected_graph::from_edges(4, {{1, 0}, {3, 2}});
   EXPECT_TRUE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, DifferentPartitionsSameCount) {
   // Both have 2 components but group nodes differently.
-  undirected_graph a(4), b(4);
-  a.add_edge(0, 1);
-  a.add_edge(2, 3);
-  b.add_edge(0, 2);
-  b.add_edge(1, 3);
+  const undirected_graph a = undirected_graph::from_edges(4, {{0, 1}, {2, 3}});
+  const undirected_graph b = undirected_graph::from_edges(4, {{0, 2}, {1, 3}});
   EXPECT_FALSE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, ExtraEdgeInsideComponentIsFine) {
-  undirected_graph a(3), b(3);
-  a.add_edge(0, 1);
-  a.add_edge(1, 2);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(0, 2);  // chord
+  const undirected_graph a = undirected_graph::from_edges(3, {{0, 1}, {1, 2}});
+  const undirected_graph b = undirected_graph::from_edges(3, {{0, 1}, {1, 2}, {0, 2}});  // chord
   EXPECT_TRUE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, SplitDetected) {
-  undirected_graph a(3), b(3);
-  a.add_edge(0, 1);
-  a.add_edge(1, 2);
-  b.add_edge(0, 1);
+  const undirected_graph a = undirected_graph::from_edges(3, {{0, 1}, {1, 2}});
+  const undirected_graph b = undirected_graph::from_edges(3, {{0, 1}});
   EXPECT_FALSE(same_connectivity(a, b));
 }
 
 TEST(SameConnectivity, NodeCountMismatch) {
-  EXPECT_FALSE(same_connectivity(undirected_graph(2), undirected_graph(3)));
+  EXPECT_FALSE(
+      same_connectivity(undirected_graph::from_edges(2, {}), undirected_graph::from_edges(3, {})));
 }
 
 /// The pre-union-find implementation, kept verbatim as the reference:
@@ -121,14 +107,14 @@ bool same_connectivity_bfs(const undirected_graph& a, const undirected_graph& b)
 }
 
 undirected_graph random_graph(std::size_t n, double p, std::mt19937_64& rng) {
-  undirected_graph g(n);
-  std::bernoulli_distribution edge(p);
+  std::vector<edge> edges;
+  std::bernoulli_distribution coin(p);
   for (node_id u = 0; u < n; ++u) {
     for (node_id v = u + 1; v < n; ++v) {
-      if (edge(rng)) g.add_edge(u, v);
+      if (coin(rng)) edges.push_back({u, v});
     }
   }
-  return g;
+  return undirected_graph::from_edges(n, edges);
 }
 
 TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
@@ -149,7 +135,15 @@ TEST(SameConnectivity, UnionFindAgreesWithBfsOnRandomGraphs) {
       std::uniform_int_distribution<node_id> node(0, static_cast<node_id>(n - 1));
       const node_id u = node(rng);
       const node_id v = node(rng);
-      if (u != v && !b.remove_edge(u, v)) b.add_edge(u, v);
+      std::vector<edge> toggled = a.edges();
+      const edge e{std::min(u, v), std::max(u, v)};
+      const auto at = std::find(toggled.begin(), toggled.end(), e);
+      if (at != toggled.end()) {
+        toggled.erase(at);
+      } else {
+        toggled.push_back(e);
+      }
+      b = undirected_graph::from_edges(n, toggled);
     }
     const bool expected = same_connectivity_bfs(a, b);
     EXPECT_EQ(expected, same_connectivity(a, b)) << "trial " << trial;
@@ -169,8 +163,7 @@ TEST(SameConnectivity, ScratchIsReusableAcrossDifferentSizes) {
   EXPECT_TRUE(same_connectivity(big, big, scratch));
   const undirected_graph small = path_graph(3);
   EXPECT_TRUE(same_connectivity(small, small, scratch));
-  undirected_graph split = path_graph(3);
-  split.remove_edge(1, 2);
+  const undirected_graph split = undirected_graph::from_edges(3, {{0, 1}});
   EXPECT_FALSE(same_connectivity(small, split, scratch));
 }
 
@@ -180,19 +173,14 @@ TEST(BfsDistances, PathGraph) {
 }
 
 TEST(BfsDistances, UnreachableIsMax) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}});
   const auto d = bfs_distances(g, 0);
   EXPECT_EQ(d[2], std::numeric_limits<std::uint32_t>::max());
 }
 
 TEST(BfsPath, FindsShortestPath) {
   // 0-1-2-3 plus shortcut 0-2.
-  undirected_graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  g.add_edge(0, 2);
+  const undirected_graph g = undirected_graph::from_edges(4, {{0, 1}, {1, 2}, {2, 3}, {0, 2}});
   const auto p = bfs_path(g, 0, 3);
   ASSERT_EQ(p.size(), 3u);
   EXPECT_EQ(p.front(), 0u);
@@ -201,8 +189,7 @@ TEST(BfsPath, FindsShortestPath) {
 }
 
 TEST(BfsPath, NoPathReturnsEmpty) {
-  undirected_graph g(3);
-  g.add_edge(0, 1);
+  const undirected_graph g = undirected_graph::from_edges(3, {{0, 1}});
   EXPECT_TRUE(bfs_path(g, 0, 2).empty());
 }
 
@@ -214,10 +201,11 @@ TEST(BfsPath, TrivialSelfPath) {
 
 TEST(BfsPath, EdgesExistAlongPath) {
   std::mt19937_64 rng(13);
-  undirected_graph g(50);
+  std::vector<edge> edges;
   for (int i = 0; i < 120; ++i) {
-    g.add_edge(static_cast<node_id>(rng() % 50), static_cast<node_id>(rng() % 50));
+    edges.push_back({static_cast<node_id>(rng() % 50), static_cast<node_id>(rng() % 50)});
   }
+  const undirected_graph g = undirected_graph::from_edges(50, edges);
   const auto p = bfs_path(g, 0, 42);
   for (std::size_t i = 0; i + 1 < p.size(); ++i) {
     EXPECT_TRUE(g.has_edge(p[i], p[i + 1]));

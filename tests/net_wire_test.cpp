@@ -215,6 +215,27 @@ TEST(WireTest, MalformedMessagesAreRejected) {
                  std::invalid_argument)
         << frame;
   }
+  // So is a Yao cone count past method_spec::max_yao_cones; the cap
+  // itself decodes.
+  for (const std::size_t cones : {std::size_t{1000000000}, api::method_spec::max_yao_cones + 1,
+                                  api::method_spec::max_yao_cones}) {
+    wire::batch_request yao;
+    yao.mode = wire::batch_mode::static_runs;
+    yao.scenario = *api::find_scenario("paper_table1");
+    yao.scenario.method = api::method_spec::of_baseline(api::baseline_kind::yao);
+    yao.scenario.method.yao_cones = cones;
+    yao.seeds = {0, 1};
+    yao.blocks = {0, 1};
+    const std::string frame = wire::encode_batch_request(yao);
+    if (cones > api::method_spec::max_yao_cones) {
+      EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+                   std::invalid_argument)
+          << frame;
+    } else {
+      EXPECT_EQ(wire::decode_batch_request(wire::decode_message(frame)).scenario.method.yao_cones,
+                cones);
+    }
+  }
   // Region counts and sink ids are refused at decode too: an oversized
   // lane grid must not be allocated, and values past 32 bits must not
   // wrap to small ones (2^32 + 16 regions, 2^32 + 3 as the sink).
