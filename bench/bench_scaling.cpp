@@ -16,7 +16,9 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,12 +27,14 @@
 #include "algo/pipeline.h"
 #include "algo/stc.h"
 #include "api/api.h"
+#include "api/dispatch.h"
 #include "geom/random_points.h"
 #include "geom/spatial_grid.h"
 #include "graph/digraph.h"
 #include "graph/euclidean.h"
 #include "graph/live_index.h"
 #include "graph/metrics.h"
+#include "net/service.h"
 #include "radio/propagation.h"
 #include "util/parallel.h"
 
@@ -60,6 +64,67 @@ std::vector<geom::vec2> make_positions(std::int64_t nodes) {
 
 const radio::power_model pm(2.0, 500.0);
 const api::engine eng;
+
+// -- dispatched batch vs in-process batch ------------------------------
+// Registered first on purpose: the executor's worker set only grows,
+// so these rows must run before any wider task has spawned workers
+// they would otherwise inherit.
+
+/// The paper's experiment over the wire: range(0) paper_table1 seeds
+/// dispatched to two in-process loopback shards of width 2 — two
+/// concurrent top-level batches in one process. Gated as a ratio
+/// against BM_DispatchInProcess (same seeds, one width-4 batch): the
+/// executor must give each shard its own helper, or the dispatch runs
+/// on three threads instead of four. Requests carry 16 blocks (8 per
+/// shard thread, as a 4096-seed sweep's default requests do): the
+/// default sizing would cut 512 seeds into 4-block requests, whose
+/// per-request tails are the dispatcher's cost, not the executor's.
+void BM_DispatchLoopback(benchmark::State& state) {
+  constexpr unsigned shard_threads = 2;
+  const api::scenario_spec spec = api::get_scenario("paper_table1");
+  const api::seed_range seeds{0, static_cast<std::uint64_t>(state.range(0))};
+  api::dispatch_config cfg;
+  cfg.shard_threads = shard_threads;
+  cfg.blocks_per_request = 16;
+  std::vector<std::unique_ptr<net::scenario_server>> servers;
+  std::vector<std::thread> serving;
+  for (int i = 0; i < 2; ++i) {
+    net::serve_config sc;
+    sc.threads = shard_threads;
+    servers.push_back(std::make_unique<net::scenario_server>(sc));
+    cfg.endpoints.push_back({"127.0.0.1", servers.back()->port()});
+    serving.emplace_back([s = servers.back().get()] { s->run(); });
+  }
+  {
+    api::shard_dispatcher dispatcher(std::move(cfg));
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(dispatcher.run_batch(spec, seeds));
+    }
+  }
+  for (auto& s : servers) s->stop();
+  for (std::thread& t : serving) t.join();
+}
+// Real time: the calling thread only waits on sockets. A fixed
+// iteration count keeps the row name independent of the library's
+// min-time formatting.
+BENCHMARK(BM_DispatchLoopback)
+    ->Arg(512)
+    ->Iterations(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DispatchInProcess(benchmark::State& state) {
+  const api::scenario_spec spec = api::get_scenario("paper_table1");
+  const api::seed_range seeds{0, static_cast<std::uint64_t>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run_batch(spec, seeds, 4));
+  }
+}
+BENCHMARK(BM_DispatchInProcess)
+    ->Arg(512)
+    ->Iterations(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EngineOracle(benchmark::State& state) {
   const api::scenario_spec spec = scaling_spec(state.range(0));

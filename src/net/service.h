@@ -6,7 +6,10 @@
 // executor — so serializing connections wastes nothing and keeps the
 // failure model trivial (a dead connection aborts exactly one
 // request; the dispatcher re-dispatches its unfinished blocks to any
-// live shard).
+// live shard). Several servers in one process (an in-process fleet,
+// as in tests and benches) each get their full width: every request's
+// batch is a top-level executor task, and the executor sizes its
+// workers for the sum of the concurrent top-level widths.
 //
 // Security: no authentication, no encryption — bind trusted-network
 // interfaces only (the default is loopback).

@@ -4,6 +4,30 @@
 
 namespace cbtc::util {
 
+namespace {
+
+/// Chunks of fanned tasks the calling thread is inside (nested runs
+/// stack). A task submitted at depth 0 is top-level: it adds its
+/// helpers to the executor's demand. A task that runs inline on its
+/// owner (width 1 or one chunk) leaves the depth alone: the tasks its
+/// chunks submit are the caller's real parallelism.
+thread_local unsigned chunk_depth = 0;
+
+/// Raises chunk_depth for one chunk of a fanned task; the destructor
+/// restores it even when the chunk throws.
+class chunk_depth_guard {
+ public:
+  explicit chunk_depth_guard(bool raise) : step_(raise ? 1 : 0) { chunk_depth += step_; }
+  ~chunk_depth_guard() { chunk_depth -= step_; }
+  chunk_depth_guard(const chunk_depth_guard&) = delete;
+  chunk_depth_guard& operator=(const chunk_depth_guard&) = delete;
+
+ private:
+  unsigned step_;
+};
+
+}  // namespace
+
 executor& executor::instance() {
   static executor e;
   return e;
@@ -34,8 +58,8 @@ executor::task* executor::claimable(const task* skip) {
   return nullptr;
 }
 
-void executor::ensure_workers(unsigned width) {
-  const auto wanted = static_cast<std::size_t>(std::min(width - 1, max_workers));
+void executor::ensure_workers(std::size_t helpers) {
+  const std::size_t wanted = std::min<std::size_t>(helpers, max_workers);
   while (workers_.size() < wanted) {
     workers_.emplace_back([this] { worker_loop(); });
   }
@@ -46,6 +70,7 @@ void executor::run_chunk(task& t, std::size_t c) {
   const std::size_t hi = std::min(t.n_, lo + t.chunk_);
   std::size_t completing = 1;
   try {
+    const chunk_depth_guard depth(t.fanned());
     (*t.body_)(lo, hi);
   } catch (...) {
     {
@@ -94,10 +119,14 @@ void executor::worker_loop() {
 
 void executor::run(task& t) {
   if (t.num_chunks_ == 0) return;
-  const bool fanned = t.width_ > 1 && t.num_chunks_ > 1;
+  const bool fanned = t.fanned();
+  // Helpers this task adds to the demand: its own width - 1 when it is
+  // top-level, none when it nests inside a chunk.
+  const std::size_t demand = fanned && chunk_depth == 0 ? t.width_ - 1 : 0;
   if (fanned) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    ensure_workers(t.width_);
+    demand_ += demand;
+    ensure_workers(std::max<std::size_t>(t.width_ - 1, demand_));
     t.next_task_ = head_;
     t.prev_task_ = nullptr;
     if (head_ != nullptr) head_->prev_task_ = &t;
@@ -121,6 +150,7 @@ void executor::run(task& t) {
       }
       cv_.wait(lock);
     }
+    demand_ -= demand;
     if (t.prev_task_ != nullptr) {
       t.prev_task_->next_task_ = t.next_task_;
     } else {

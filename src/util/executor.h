@@ -23,10 +23,17 @@
 //     run inside a batch doing an intra-parallel loop) recursively
 //     becomes a submitter — nesting composes instead of spawning.
 //
-// Workers are spawned on demand up to the largest width any task ever
-// asked for (capped at max_workers), so an explicit `--threads 8` on a
-// 2-core box still gets 8-way task structure without a per-run spawn,
-// and repeated runs reuse the same sleeping workers.
+// Workers are spawned on demand up to the helpers the running
+// top-level tasks ask for together: the sum of `width - 1` over every
+// task submitted from outside any chunk of a fanned task (capped at
+// max_workers). Two threads that each submit a width-2 batch at once
+// (two in-process scenario servers) get a helper each instead of
+// sharing one. A nested task — submitted from inside a chunk — adds
+// nothing: the threads already running its parent's chunks work it,
+// so a width-4 batch of width-4 instances still holds at most 3
+// workers. An explicit `--threads 8` on a 2-core box still gets 8-way
+// task structure without a per-run spawn, and repeated runs reuse the
+// same sleeping workers (the set never shrinks).
 //
 // Determinism is unaffected by any of this: callers only ever submit
 // loops whose chunks write disjoint slots or reduce over fixed-size
@@ -75,6 +82,9 @@ class executor {
    private:
     friend class executor;
 
+    /// Worth sharing with helpers; otherwise the owner runs it inline.
+    [[nodiscard]] bool fanned() const { return width_ > 1 && num_chunks_ > 1; }
+
     std::size_t n_;
     std::size_t chunk_;
     std::size_t num_chunks_;
@@ -111,13 +121,14 @@ class executor {
   /// Caller must hold mutex_. `skip` is excluded (the caller's own
   /// task, already drained).
   [[nodiscard]] task* claimable(const task* skip);
-  /// Grows the worker set toward `width - 1` helpers (under mutex_).
-  void ensure_workers(unsigned width);
+  /// Grows the worker set toward `helpers` workers (under mutex_).
+  void ensure_workers(std::size_t helpers);
   void worker_loop();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;  // workers: work available; owners: task done
   task* head_{nullptr};         // active-task list (round-robin scan)
+  std::size_t demand_{0};       // sum of width - 1 over listed top-level tasks
   std::vector<std::thread> workers_;
   bool stop_{false};
 };

@@ -6,9 +6,15 @@
 // the way the engine layers do.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/executor.h"
@@ -116,6 +122,49 @@ TEST(Executor, ManyConcurrentPoolsShareTheSingleton) {
   for (std::size_t i = 0; i < hits.size(); ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
+}
+
+// Needs a fresh process (no worker spawned yet), so ctest runs it on
+// its own via --gtest_filter (util_executor_concurrent_top_level); in a
+// process where earlier tests already grew the worker set it skips.
+TEST(Executor, ConcurrentTopLevelPoolsEachGetTheirWidth) {
+  if (executor::instance().workers() != 0) {
+    GTEST_SKIP() << "needs a fresh process: run with "
+                    "--gtest_filter=Executor.ConcurrentTopLevelPoolsEachGetTheirWidth";
+  }
+  // Two threads each submit a width-2 loop at once — two in-process
+  // shard servers, each running its batch. Together they ask for two
+  // helpers, so four distinct threads must be inside chunks at the same
+  // time. Every chunk waits for that (bounded: an under-provisioned
+  // executor peaks at three and the test fails at the deadline rather
+  // than hanging).
+  constexpr std::size_t wanted = 4;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::mutex m;
+  std::condition_variable cv;
+  std::map<std::thread::id, int> inside;  // thread -> chunks it is running
+  std::size_t peak = 0;
+  const auto body = [&](std::size_t, std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::unique_lock<std::mutex> lock(m);
+    ++inside[self];
+    peak = std::max(peak, inside.size());
+    cv.notify_all();
+    cv.wait_until(lock, deadline, [&] { return peak >= wanted; });
+    if (--inside[self] == 0) inside.erase(self);
+  };
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&] { thread_pool(2).parallel_for_chunks(4, 1, body); });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_GE(peak, wanted);
+
+  // A nested submission adds no helpers: a width-4 task whose chunks
+  // each run a width-4 pool holds at most 4 - 1 workers, not 4 * 3.
+  const double reference = nested_sum(1, 1, 8, 2000);
+  EXPECT_EQ(reference, nested_sum(4, 4, 8, 2000));
+  EXPECT_LE(executor::instance().workers(), 3u);
 }
 
 }  // namespace
