@@ -254,6 +254,38 @@ void BM_EngineLeanShadowed(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineLeanShadowed)->Arg(20000)->Unit(benchmark::kMillisecond);
 
+/// Whole paper_table1 runs at the paper's density on a 4-wide pool,
+/// large enough (100k nodes) that the Morton relabeling engages: with
+/// the default metrics (power and hop stretch, interference, cut
+/// vertices) and without them. Their ratio is what the metric passes
+/// add to a run end to end; the stretch passes walk G_R in pipeline
+/// labels with an indexed 4-ary heap.
+api::scenario_spec table1_spec(std::int64_t nodes, bool metrics) {
+  api::scenario_spec spec = api::get_scenario("paper_table1");
+  spec.deploy.region_side *= std::sqrt(static_cast<double>(nodes) /
+                                       static_cast<double>(spec.deploy.nodes));
+  spec.deploy.nodes = static_cast<std::size_t>(nodes);
+  spec.cbtc.intra_threads = 4;
+  if (!metrics) spec.metrics = {.stretch = false, .interference = false, .robustness = false};
+  return spec;
+}
+
+void BM_EngineMetrics(benchmark::State& state) {
+  const api::scenario_spec spec = table1_spec(state.range(0), true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec, 1));
+  }
+}
+BENCHMARK(BM_EngineMetrics)->Arg(100000)->Iterations(2)->Unit(benchmark::kMillisecond);
+
+void BM_EngineMetricsOff(benchmark::State& state) {
+  const api::scenario_spec spec = table1_spec(state.range(0), false);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.run(spec, 1));
+  }
+}
+BENCHMARK(BM_EngineMetricsOff)->Arg(100000)->Iterations(2)->Unit(benchmark::kMillisecond);
+
 void BM_MaxPowerGraphGridShadowed(benchmark::State& state) {
   const auto positions = make_positions(state.range(0));
   for (auto _ : state) {

@@ -1,6 +1,7 @@
 #include "algo/analysis.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -15,23 +16,52 @@ invariant_report check_invariants(const graph::undirected_graph& topology,
                                   const radio::link_model& link,
                                   const graph::undirected_graph& max_power_graph,
                                   util::thread_pool& pool) {
+  return check_invariants(topology, topology, {}, positions, link, max_power_graph, pool);
+}
+
+invariant_report check_invariants(const graph::undirected_graph& topology,
+                                  const graph::undirected_graph& relabeled_topology,
+                                  std::span<const std::uint32_t> label_of,
+                                  std::span<const geom::vec2> positions,
+                                  const radio::link_model& link,
+                                  const graph::undirected_graph& max_power_graph,
+                                  util::thread_pool& pool) {
   invariant_report rep;
+  const auto label = [&](graph::node_id u) { return label_of.empty() ? u : label_of[u]; };
 
   // The first two desiderata — subgraph of G_R and partition equality
-  // — are identical under every radio model.
-  rep.subgraph_of_max_power = true;
-  for (const graph::edge& e : topology.edges()) {
-    if (!max_power_graph.has_edge(e.u, e.v)) {
-      rep.subgraph_of_max_power = false;
-      rep.violations.push_back("edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
-                               ") not in G_R");
+  // — are identical under every radio model. The subgraph test merges
+  // each (sorted) topology row into the G_R row of the same label, in
+  // G_R's label space; only a failure walks the topology again in
+  // original ids, to name the offending edges.
+  rep.subgraph_of_max_power = pool.reduce<bool>(
+      relabeled_topology.num_nodes(), true,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t u = lo; u < hi; ++u) {
+          const auto uid = static_cast<graph::node_id>(u);
+          const std::span<const graph::node_id> row = relabeled_topology.neighbors(uid);
+          const std::span<const graph::node_id> gr_row =
+              u < max_power_graph.num_nodes() ? max_power_graph.neighbors(uid)
+                                              : std::span<const graph::node_id>();
+          if (!std::includes(gr_row.begin(), gr_row.end(), row.begin(), row.end())) return false;
+        }
+        return true;
+      },
+      [](bool& total, const bool& part) { total = total && part; });
+  if (!rep.subgraph_of_max_power) {
+    for (const graph::edge& e : topology.edges()) {
+      if (!max_power_graph.has_edge(label(e.u), label(e.v))) {
+        rep.violations.push_back("edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
+                                 ") not in G_R");
+      }
     }
   }
   graph::connectivity_scratch scratch;
-  rep.connectivity_preserved = graph::same_connectivity(topology, max_power_graph, pool, scratch);
+  rep.connectivity_preserved =
+      graph::same_connectivity(relabeled_topology, max_power_graph, pool, scratch);
   if (!rep.connectivity_preserved) {
     rep.violations.push_back("component partition differs: topology has " +
-                             std::to_string(graph::connected_components(topology).count) +
+                             std::to_string(graph::connected_components(relabeled_topology).count) +
                              " components, G_R has " +
                              std::to_string(graph::connected_components(max_power_graph).count));
   }

@@ -1,6 +1,7 @@
 // Cross-cutting invariant checks used by tests, examples, and benches.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -33,6 +34,21 @@ struct invariant_report {
 /// per-node scan runs on `pool`; the report (flags and violation
 /// order) is identical for any pool width.
 [[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
+                                                std::span<const geom::vec2> positions,
+                                                const radio::link_model& link,
+                                                const graph::undirected_graph& max_power_graph,
+                                                util::thread_pool& pool = util::serial_pool());
+
+/// The same checks with G_R held in a relabeled space (the engine's
+/// Morton pipeline labels): original node u is label label_of[u] of
+/// `max_power_graph`, and `relabeled_topology` is `topology` under the
+/// same labels. The partition comparison runs on the relabeled pair;
+/// the edge and reach scans walk `topology` in original ids. The report
+/// is identical to the original-label call's: the same flags, and the
+/// same violations, naming original ids in the same order.
+[[nodiscard]] invariant_report check_invariants(const graph::undirected_graph& topology,
+                                                const graph::undirected_graph& relabeled_topology,
+                                                std::span<const std::uint32_t> label_of,
                                                 std::span<const geom::vec2> positions,
                                                 const radio::link_model& link,
                                                 const graph::undirected_graph& max_power_graph,

@@ -40,9 +40,11 @@ graph::undirected_graph build_baseline(const method_spec& m,
   throw std::logic_error("engine: unknown baseline kind");
 }
 
-/// The graph `g` (over permuted labels) mapped back to original labels:
-/// node perm[k] of the result owns node k's neighbors, each mapped
-/// through perm and re-sorted. Assembled as flat CSR in parallel slots.
+/// The graph `g` with node k renamed perm[k]: node perm[k] of the
+/// result owns node k's neighbors, each mapped through perm and
+/// re-sorted. With the pipeline's perm this maps pipeline labels back
+/// to original ones; with its inverse (label_of), original labels to
+/// pipeline ones. Assembled as flat CSR in parallel slots.
 graph::undirected_graph relabel_graph(const graph::undirected_graph& g,
                                       std::span<const std::uint32_t> perm,
                                       util::thread_pool& pool) {
@@ -168,29 +170,35 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
 
   // The oracle pipeline runs under a spatial relabeling above
   // relabel_min_nodes: nodes are permuted into Morton order (spatial
-  // neighbors become cache neighbors for growth and the scatter
-  // passes), and its outcome is mapped back to original labels by
-  // restore_labels. Shadowing gains hash node ids, so the permuted
-  // pipeline consults the original ids via link_model::relabeled.
+  // neighbors become cache neighbors for growth, the scatter passes
+  // and the metric passes). Its outcome is mapped back to original
+  // labels by restore_labels; G_R, the invariants and the stretch
+  // passes stay in pipeline labels. Shadowing gains hash node ids, so
+  // the permuted pipeline consults the original ids via
+  // link_model::relabeled.
   const bool relabel = spec.method.k == method_spec::kind::oracle &&
                        n >= spec.cbtc.relabel_min_nodes && n > 1 && R > 0.0;
-  std::vector<std::uint32_t> perm;  // pipeline label k is original node perm[k]
+  std::vector<std::uint32_t> perm;      // pipeline label k is original node perm[k]
+  std::vector<std::uint32_t> label_of;  // original node u is pipeline label label_of[u]
   std::vector<geom::vec2> rpos;
   if (relabel) {
     perm = geom::spatial_order(positions, R);
     rpos.resize(n);
-    for (std::size_t k = 0; k < n; ++k) rpos[k] = positions[perm[k]];
+    label_of.resize(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      rpos[k] = positions[perm[k]];
+      label_of[perm[k]] = static_cast<std::uint32_t>(k);
+    }
   }
-  const std::span<const geom::vec2> gpos =
-      relabel ? std::span<const geom::vec2>(rpos) : std::span<const geom::vec2>(positions);
+  const std::vector<geom::vec2>& gpos = relabel ? rpos : positions;
   const radio::link_model glink = relabel ? link.relabeled(perm) : link;
 
-  // G_R is built once per run. When a pass reads link prices
-  // (non-isotropic growth and power, the gain-aware op3, STC), it is
-  // built priced and in the pipeline's label space; every pass reads
-  // that column instead of evaluating a gain. The original-label G_R
-  // that invariants, metrics and max_power_out use is made from it
-  // after the column's last use, by a permutation pass when relabeled.
+  // G_R is built once per run, in the pipeline's label space. When a
+  // pass reads link prices (non-isotropic growth and power, the
+  // gain-aware op3, STC), it is built priced; every pass reads that
+  // column instead of evaluating a gain. Invariants and stretch read
+  // the same graph after the column's last use; only max_power_out
+  // permutes it back to original labels.
   const bool cbtc_method = spec.method.k == method_spec::kind::oracle ||
                            spec.method.k == method_spec::kind::protocol;
   const bool priced = !link.is_isotropic() || spec.method.k == method_spec::kind::stc ||
@@ -200,7 +208,7 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   if (priced) {
     prices = graph::build_priced_max_power_graph(gpos, glink, pool);
   } else {
-    gr = graph::build_max_power_graph(positions, link, pool);
+    gr = graph::build_max_power_graph(gpos, glink, pool);
   }
   r.max_power_edges = priced ? prices.graph.num_edges() : gr.num_edges();
 
@@ -277,11 +285,6 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
     // propagation model; the power is the per-link budget, which for
     // isotropic gains is exactly p(rad_u).
     const bool isotropic = link.is_isotropic();
-    std::vector<std::uint32_t> label_of;  // original node -> pipeline label
-    if (!isotropic && relabel) {
-      label_of.resize(n);
-      for (std::size_t k = 0; k < n; ++k) label_of[perm[k]] = static_cast<std::uint32_t>(k);
-    }
     // A G_R edge's power is read from the column; an edge outside G_R
     // (a bridge-augmentation or geometric-baseline edge) is priced on
     // the spot.
@@ -330,24 +333,28 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   r.avg_power = r.nodes == 0 ? 0.0 : power_sum / static_cast<double>(r.nodes);
 
   if (priced) {
-    // Last use of the column: free it before the permutation pass, so
-    // at most two G_R-sized arrays are alive at once.
+    // Last use of the column: free it, keep the graph.
     prices.up_power = {};
     prices.up_offsets = {};
-    gr = relabel ? relabel_graph(prices.graph, perm, pool) : std::move(prices.graph);
-    prices.graph = {};
+    gr = std::move(prices.graph);
   }
 
-  r.invariants = algo::check_invariants(r.topology, positions, link, gr, pool);
+  // The passes that read G_R run in its (pipeline) label space, on a
+  // pipeline-label copy of the final topology; their reports fold in
+  // original ids, so every value is the unrelabeled run's bit for bit.
+  graph::undirected_graph relabeled_topology;
+  if (relabel) relabeled_topology = relabel_graph(r.topology, label_of, pool);
+  const graph::undirected_graph& gtopo = relabel ? relabeled_topology : r.topology;
+
+  r.invariants = algo::check_invariants(r.topology, gtopo, label_of, positions, link, gr, pool);
 
   if (spec.metrics.stretch) {
-    const graph::stretch_stats ps =
-        graph::power_stretch(r.topology, gr, positions, pm.exponent(), spec.metrics.stretch_samples,
-                             pool);
+    const graph::stretch_stats ps = graph::power_stretch(
+        gtopo, gr, gpos, pm.exponent(), spec.metrics.stretch_samples, pool, label_of);
     r.power_stretch = ps.mean;
     r.power_stretch_max = ps.max;
     const graph::stretch_stats hs =
-        graph::hop_stretch(r.topology, gr, spec.metrics.stretch_samples, pool);
+        graph::hop_stretch(gtopo, gr, spec.metrics.stretch_samples, pool, label_of);
     r.hop_stretch = hs.mean;
     r.hop_stretch_max = hs.max;
   }
@@ -359,9 +366,10 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   if (spec.metrics.robustness) {
     r.cut_vertices = graph::articulation_points(r.topology).size();
   }
-  // Last use of both: hand them off without copying (large instances).
+  // Last use of both: hand them off without copying (large instances);
+  // G_R goes back to original labels here and nowhere else.
   if (positions_out) *positions_out = std::move(positions);
-  if (max_power_out) *max_power_out = std::move(gr);
+  if (max_power_out) *max_power_out = relabel ? relabel_graph(gr, perm, pool) : std::move(gr);
   return r;
 }
 

@@ -125,7 +125,9 @@ struct method_spec {
 /// Degree/radius/power and the paper's invariant checks are always on.
 struct metric_options {
   bool stretch{true};               ///< power + hop stretch vs G_R (Dijkstra/BFS)
-  std::size_t stretch_samples{8};   ///< sources sampled per stretch run
+  /// Sources sampled per stretch run; at most deployment_spec::max_nodes
+  /// (the node count or more is the exact all-pairs statistic).
+  std::size_t stretch_samples{8};
   bool interference{true};          ///< coverage-based edge interference
   bool robustness{true};            ///< articulation-point count
 };

@@ -397,6 +397,11 @@ scenario_spec scenario_from_jv(const jv& o) {
     check_keys(*m, "metrics", {"stretch", "stretch_samples", "interference", "robustness"});
     s.metrics.stretch = get_bool(*m, "stretch", s.metrics.stretch);
     s.metrics.stretch_samples = get_count(*m, "stretch_samples", s.metrics.stretch_samples);
+    // Past the node cap every node is already a source: a larger value
+    // means nothing more, so it is refused rather than carried.
+    require(s.metrics.stretch_samples <= deployment_spec::max_nodes,
+            "metrics.stretch_samples: at most " + std::to_string(deployment_spec::max_nodes) +
+                ", got " + std::to_string(s.metrics.stretch_samples));
     s.metrics.interference = get_bool(*m, "interference", s.metrics.interference);
     s.metrics.robustness = get_bool(*m, "robustness", s.metrics.robustness);
   }

@@ -78,10 +78,13 @@ struct sssp_slot {
 /// job of a wave fans across the pool into its own slot, then the
 /// wave's ratios fold serially in (source, target) ascending order —
 /// the exact floating-point sequence of a one-source-at-a-time loop.
+/// With `label_of`, sources and targets are original ids and the rows
+/// are indexed by label: source s runs from label_of[s] and target t
+/// reads row entry label_of[t], so the fold's sequence is unchanged.
 template <class Solve>
 stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                               std::size_t sample_sources, util::thread_pool& pool,
-                              const Solve& solve) {
+                              std::span<const std::uint32_t> label_of, const Solve& solve) {
   stretch_stats stats;
   const std::size_t n = dense.num_nodes();
   if (n == 0 || sample_sources == 0) return stats;
@@ -89,6 +92,8 @@ stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_g
   const std::size_t step = std::max<std::size_t>(1, n / std::min(sample_sources, n));
   std::vector<node_id> sources;
   for (std::size_t s = 0; s < n; s += step) sources.push_back(static_cast<node_id>(s));
+  const bool relabeled = !label_of.empty();
+  const auto label = [&](node_id u) { return relabeled ? label_of[u] : u; };
 
   // As few waves as the width allows, evened out (9 sources at width 4
   // run as 3 x 3, not 4 + 4 + 1: same rounds, fewer rows held).
@@ -108,7 +113,7 @@ stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_g
       for (std::size_t j = lo; j < hi; ++j) {
         const bool is_dense = j < m;
         const std::size_t k = is_dense ? j : j - m;
-        solve(is_dense ? dense : sparse, sources[first + k], slots[is_dense ? k : wave + k]);
+        solve(is_dense ? dense : sparse, label(sources[first + k]), slots[is_dense ? k : wave + k]);
       }
     });
     for (std::size_t k = 0; k < m; ++k) {
@@ -117,9 +122,10 @@ stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_g
       const std::vector<double>& ds = slots[wave + k].dist;
       for (node_id t = 0; t < n; ++t) {
         if (t == s) continue;
-        if (!std::isfinite(dd[t]) || dd[t] <= 0.0) continue;  // unreachable in dense graph
-        if (!std::isfinite(ds[t])) continue;                  // connectivity violation; skip here
-        const double ratio = ds[t] / dd[t];
+        const node_id lt = label(t);
+        if (!std::isfinite(dd[lt]) || dd[lt] <= 0.0) continue;  // unreachable in dense graph
+        if (!std::isfinite(ds[lt])) continue;                   // connectivity violation; skip here
+        const double ratio = ds[lt] / dd[lt];
         total += ratio;
         worst = std::max(worst, ratio);
         ++pairs;
@@ -138,19 +144,31 @@ stretch_stats sampled_stretch(const undirected_graph& sparse, const undirected_g
 
 stretch_stats power_stretch(const undirected_graph& sparse, const undirected_graph& dense,
                             const std::vector<geom::vec2>& positions, double exponent,
-                            std::size_t sample_sources, util::thread_pool& pool) {
-  return sampled_stretch(sparse, dense, sample_sources, pool,
+                            std::size_t sample_sources, util::thread_pool& pool,
+                            std::span<const std::uint32_t> label_of) {
+  // A hop costs pow(hypot(dx, dy), n). Under the paper's n = 2 that is
+  // within a few ulps of dx^2 + dy^2, so the squared distance shrunk by
+  // 1e-12 bounds it from below: a few multiplies, where the cost takes
+  // hypot and pow, let Dijkstra skip most non-improving relaxations
+  // without changing a bit. Other exponents get no bound.
+  const double bound_scale = exponent == 2.0 ? 1.0 - 1e-12 : 0.0;
+  return sampled_stretch(sparse, dense, sample_sources, pool, label_of,
                          [&](const undirected_graph& g, node_id s, sssp_slot& slot) {
                            const auto cost = [&](node_id u, node_id v) {
                              return std::pow(geom::distance(positions[u], positions[v]), exponent);
                            };
-                           dijkstra_into(g, s, cost, slot.dist, slot.heap, [](node_id, node_id) {});
+                           const auto bound = [&](node_id u, node_id v) {
+                             return bound_scale * geom::distance_sq(positions[u], positions[v]);
+                           };
+                           dijkstra_into(g, s, cost, slot.dist, slot.heap, [](node_id, node_id) {},
+                                         bound);
                          });
 }
 
 stretch_stats hop_stretch(const undirected_graph& sparse, const undirected_graph& dense,
-                          std::size_t sample_sources, util::thread_pool& pool) {
-  return sampled_stretch(sparse, dense, sample_sources, pool,
+                          std::size_t sample_sources, util::thread_pool& pool,
+                          std::span<const std::uint32_t> label_of) {
+  return sampled_stretch(sparse, dense, sample_sources, pool, label_of,
                          [](const undirected_graph& g, node_id s, sssp_slot& slot) {
                            // BFS with hop counts kept as doubles: exact integers, and
                            // +infinity marks unreachable nodes as in the power rows.

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -56,16 +57,32 @@ struct stretch_stats {
 /// 0 samples measure nothing (pairs = 0). The (source, graph) runs fan
 /// across `pool`; the ratios fold in (source, target) ascending order
 /// afterwards, so the result is bitwise identical at every pool width.
+///
+/// Hops are priced geometrically, d^exponent, under every propagation
+/// model: for per-link gains (shadowing, obstacles) this is not the
+/// power either method spends on a link, so the statistic measures a
+/// cost neither gain-aware CBTC nor STC optimizes. Pricing it from
+/// the G_R link-power column (graph::priced_graph) is not done yet.
+///
+/// `label_of` (optional) says the graphs and `positions` are in a
+/// relabeled space: original node u is label label_of[u]. Sources and
+/// the fold stay in original ids — the same sources, and the same
+/// floating-point sum sequence, as the unrelabeled call — so the
+/// statistic is bitwise identical; only the Dijkstra runs walk the
+/// relabeled (e.g. Morton-ordered, cache-friendly) rows.
 [[nodiscard]] stretch_stats power_stretch(const undirected_graph& sparse,
                                           const undirected_graph& dense,
                                           const std::vector<geom::vec2>& positions, double exponent,
                                           std::size_t sample_sources = 32,
-                                          util::thread_pool& pool = util::serial_pool());
+                                          util::thread_pool& pool = util::serial_pool(),
+                                          std::span<const std::uint32_t> label_of = {});
 
 /// Hop stretch of `sparse` w.r.t. `dense` (BFS hop counts); same
-/// sampling, pooling and fold order as power_stretch.
+/// sampling, pooling, fold order and `label_of` contract as
+/// power_stretch.
 [[nodiscard]] stretch_stats hop_stretch(const undirected_graph& sparse,
                                         const undirected_graph& dense, std::size_t sample_sources = 32,
-                                        util::thread_pool& pool = util::serial_pool());
+                                        util::thread_pool& pool = util::serial_pool(),
+                                        std::span<const std::uint32_t> label_of = {});
 
 }  // namespace cbtc::graph

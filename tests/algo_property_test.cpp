@@ -9,7 +9,11 @@
 // alpha values on seeded random instances, plus the full pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "algo/analysis.h"
 #include "algo/gadgets.h"
@@ -231,6 +235,62 @@ TEST(ConnectivityEdgeCases, ThresholdTightnessViaGadget) {
   at.alpha = alpha_five_pi_six;
   at.mode = growth_mode::continuous;
   EXPECT_TRUE(graph::same_connectivity(run_cbtc(g.positions, pm, at).symmetric_closure(), gr));
+}
+
+// The relabeled check (G_R and a topology copy in another label space,
+// as the engine's Morton pipeline holds them) must produce the report
+// of the original-label check: same flags, same violations in the same
+// order, naming original ids — on a healthy topology and on one with
+// every kind of violation.
+TEST(InvariantReport, RelabeledCheckMatchesOriginalLabels) {
+  const radio::power_model pm(2.0, 500.0);
+  const std::vector<vec2> pts = geom::uniform_points(300, geom::bbox::rect(2600.0, 2600.0), 41);
+  const graph::undirected_graph gr = graph::build_max_power_graph(pts, pm);
+  const graph::undirected_graph good =
+      build_topology(pts, pm, {}, optimization_set::all()).topology;
+
+  // Broken: drop every edge of a few nodes (partition differs) and add
+  // long links outside G_R (not a subgraph, radius beyond R).
+  std::vector<graph::edge> edges;
+  for (const graph::edge& e : good.edges()) {
+    if (e.u % 41 != 0 && e.v % 41 != 0) edges.push_back(e);
+  }
+  for (graph::node_id u = 1; u < 300; u += 53) {
+    for (graph::node_id v = 0; v < 300; ++v) {
+      if (v != u && geom::distance(pts[u], pts[v]) > 1200.0) {
+        edges.push_back({u, v});
+        break;
+      }
+    }
+  }
+  const graph::undirected_graph broken = graph::undirected_graph::from_edges(300, edges);
+
+  std::vector<std::uint32_t> label_of(300);
+  std::iota(label_of.begin(), label_of.end(), 0u);
+  std::shuffle(label_of.begin(), label_of.end(), std::mt19937_64(5));
+  const auto relabeled = [&label_of](const graph::undirected_graph& g) {
+    std::vector<graph::edge> out;
+    for (const graph::edge& e : g.edges()) out.push_back({label_of[e.u], label_of[e.v]});
+    return graph::undirected_graph::from_edges(g.num_nodes(), out);
+  };
+  const graph::undirected_graph rgr = relabeled(gr);
+  util::thread_pool wide(4);
+  for (const graph::undirected_graph* topology : {&good, &broken}) {
+    const invariant_report want = check_invariants(*topology, pts, pm, gr);
+    for (util::thread_pool* pool : {&util::serial_pool(), &wide}) {
+      const invariant_report got =
+          check_invariants(*topology, relabeled(*topology), label_of, pts, pm, rgr, *pool);
+      EXPECT_EQ(got.subgraph_of_max_power, want.subgraph_of_max_power);
+      EXPECT_EQ(got.connectivity_preserved, want.connectivity_preserved);
+      EXPECT_EQ(got.radii_within_max_range, want.radii_within_max_range);
+      EXPECT_EQ(got.violations, want.violations);
+    }
+  }
+  const invariant_report bad = check_invariants(broken, pts, pm, gr);
+  EXPECT_FALSE(bad.subgraph_of_max_power);
+  EXPECT_FALSE(bad.connectivity_preserved);
+  EXPECT_FALSE(bad.radii_within_max_range);
+  EXPECT_TRUE(check_invariants(good, pts, pm, gr).ok());
 }
 
 }  // namespace

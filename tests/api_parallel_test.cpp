@@ -29,6 +29,15 @@ scenario_spec big_spec(unsigned intra_threads) {
   return spec;
 }
 
+/// `spec` with every optional metric on: stretch (from `samples`
+/// sources; the node count or more is the exact all-pairs statistic),
+/// interference and robustness.
+scenario_spec with_metrics(scenario_spec spec, std::size_t samples = 8) {
+  spec.metrics = {.stretch = true, .stretch_samples = samples, .interference = true,
+                  .robustness = true};
+  return spec;
+}
+
 void expect_bitwise_equal(const run_report& a, const run_report& b) {
   ASSERT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(a.topology, b.topology);
@@ -40,8 +49,20 @@ void expect_bitwise_equal(const run_report& a, const run_report& b) {
   EXPECT_EQ(a.avg_power, b.avg_power);
   EXPECT_EQ(a.boundary_nodes, b.boundary_nodes);
   EXPECT_EQ(a.removed_edges, b.removed_edges);
-  EXPECT_EQ(a.invariants.ok(), b.invariants.ok());
+  EXPECT_EQ(a.max_power_edges, b.max_power_edges);
+  EXPECT_EQ(a.invariants.subgraph_of_max_power, b.invariants.subgraph_of_max_power);
+  EXPECT_EQ(a.invariants.connectivity_preserved, b.invariants.connectivity_preserved);
+  EXPECT_EQ(a.invariants.radii_within_max_range, b.invariants.radii_within_max_range);
   EXPECT_EQ(a.invariants.violations, b.invariants.violations);
+  // The metric columns, bitwise (each keeps its default when the spec
+  // turned the metric off, so this holds for lean specs too).
+  EXPECT_EQ(a.power_stretch, b.power_stretch);
+  EXPECT_EQ(a.power_stretch_max, b.power_stretch_max);
+  EXPECT_EQ(a.hop_stretch, b.hop_stretch);
+  EXPECT_EQ(a.hop_stretch_max, b.hop_stretch_max);
+  EXPECT_EQ(a.interference_mean, b.interference_mean);
+  EXPECT_EQ(a.interference_max, b.interference_max);
+  EXPECT_EQ(a.cut_vertices, b.cut_vertices);
   ASSERT_EQ(a.has_growth, b.has_growth);
   ASSERT_EQ(a.growth.nodes.size(), b.growth.nodes.size());
   for (std::size_t u = 0; u < a.growth.nodes.size(); ++u) {
@@ -257,15 +278,58 @@ TEST(ApiParallel, ShadowedLifetimeIsThreadCountInvariant) {
 /// a single bit of the static report relative to the default
 /// label-order pipeline, at any thread count: the permutation is
 /// inverted before reporting and tie-free geometry makes the growth
-/// order label-independent.
+/// order label-independent. The metric passes, which read G_R in
+/// pipeline labels, must fold to the same bits too.
 TEST(ApiParallel, RelabelingIsInvisibleInStaticReports) {
   const engine eng;
-  const run_report reference = eng.run(big_spec(1), 0);
+  for (const bool metrics : {false, true}) {
+    const scenario_spec base = metrics ? with_metrics(big_spec(1)) : big_spec(1);
+    const run_report reference = eng.run(base, 0);
+    for (const unsigned threads : {1u, 4u}) {
+      scenario_spec relabeled = base;
+      relabeled.cbtc.intra_threads = threads;
+      relabeled.cbtc.relabel_min_nodes = 0;
+      SCOPED_TRACE(::testing::Message() << "metrics=" << metrics << " threads=" << threads);
+      expect_bitwise_equal(reference, eng.run(relabeled, 0));
+    }
+  }
+}
+
+/// The exact all-pairs statistic (stretch_samples >= nodes: every node
+/// is a source) under relabeling: every (source, target) ratio of the
+/// fold is read through the label map.
+TEST(ApiParallel, RelabelingIsInvisibleInAllPairsStretch) {
+  scenario_spec spec = big_spec(1);
+  spec.deploy.nodes = 600;
+  spec.deploy.region_side = 3674.0;
+  spec = with_metrics(spec, spec.deploy.nodes);
+  const engine eng;
+  const run_report reference = eng.run(spec, 4);
+  EXPECT_GT(reference.power_stretch_max, 1.0);
   for (const unsigned threads : {1u, 4u}) {
-    scenario_spec relabeled = big_spec(threads);
+    scenario_spec relabeled = spec;
+    relabeled.cbtc.intra_threads = threads;
     relabeled.cbtc.relabel_min_nodes = 0;
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-    expect_bitwise_equal(reference, eng.run(relabeled, 0));
+    expect_bitwise_equal(reference, eng.run(relabeled, 4));
+  }
+}
+
+/// Bridge augmentation adds edges after the topology is back in
+/// original labels; the pipeline-label copy the metric passes read
+/// must include them.
+TEST(ApiParallel, RelabelingIsInvisibleWithBridgeAugmentation) {
+  scenario_spec spec = with_metrics(big_spec(1));
+  spec.post.bridge_augmentation = true;
+  const engine eng;
+  const run_report reference = eng.run(spec, 2);
+  EXPECT_GT(reference.edges, 0u);
+  for (const unsigned threads : {1u, 4u}) {
+    scenario_spec relabeled = spec;
+    relabeled.cbtc.intra_threads = threads;
+    relabeled.cbtc.relabel_min_nodes = 0;
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    expect_bitwise_equal(reference, eng.run(relabeled, 2));
   }
 }
 
@@ -275,9 +339,9 @@ TEST(ApiParallel, RelabelingIsInvisibleInStaticReports) {
 TEST(ApiParallel, ShadowedRelabelingIsInvisible) {
   const engine eng;
   for (const std::uint64_t seed : {0ull, 7ull}) {
-    const run_report reference = eng.run(shadowed_big_spec(1), seed);
+    const run_report reference = eng.run(with_metrics(shadowed_big_spec(1)), seed);
     for (const unsigned threads : {1u, 4u}) {
-      scenario_spec relabeled = shadowed_big_spec(threads);
+      scenario_spec relabeled = with_metrics(shadowed_big_spec(threads));
       relabeled.cbtc.relabel_min_nodes = 0;
       SCOPED_TRACE(::testing::Message() << "seed=" << seed << " threads=" << threads);
       expect_bitwise_equal(reference, eng.run(relabeled, seed));
@@ -302,6 +366,7 @@ TEST(ApiParallel, ObstacleRelabelingIsInvisible) {
       {.box = {{2700.0, 2400.0}, {4000.0, 3300.0}}, .loss_db = 12.0},
   };
   spec.opts = {.shrink_back = true, .gain_aware = true};
+  spec = with_metrics(spec);
   const engine eng;
   for (const std::uint64_t seed : {0ull, 5ull}) {
     const run_report reference = eng.run(spec, seed);
@@ -343,6 +408,41 @@ TEST(ApiParallel, RelabelingIsInvisibleInLifetimeReports) {
   EXPECT_EQ(reference.first_death, permuted.first_death);
   EXPECT_EQ(reference.quarter_dead, permuted.quarter_dead);
   EXPECT_EQ(reference.field_partition, permuted.field_partition);
+}
+
+/// The lifetime engine takes G_R back from the static run (in original
+/// labels) and, under cooperative adaptation, routes every flow over
+/// it; the full report of every policy must not move under relabeling.
+TEST(ApiParallel, RelabelingIsInvisibleInLifetimeRoutingOverMaxPowerGraph) {
+  scenario_spec spec;
+  spec.deploy = {.kind = deployment_kind::uniform, .nodes = 120, .region_side = 1650.0};
+  spec.base_seed = 61;
+  spec.cbtc.mode = algo::growth_mode::continuous;
+  spec.opts = algo::optimization_set::all();
+  const engine eng;
+  for (const lifetime_policy policy :
+       {lifetime_policy::plain_cbtc, lifetime_policy::energy_balanced,
+        lifetime_policy::cooperative_adaptation}) {
+    for (const bool convergecast : {false, true}) {
+      const lifetime_spec life{.battery_rounds = 20.0,
+                               .flows = 12,
+                               .max_rounds = 1500,
+                               .policy = policy,
+                               .convergecast = convergecast,
+                               .sink = 5};
+      const lifetime_report reference = eng.run_lifetime(spec, life, 1);
+      scenario_spec relabeled = spec;
+      relabeled.cbtc.relabel_min_nodes = 0;
+      relabeled.cbtc.intra_threads = 4;
+      const lifetime_report permuted = eng.run_lifetime(relabeled, life, 1);
+      SCOPED_TRACE(::testing::Message() << "policy=" << lifetime_policy_name(policy)
+                                        << " convergecast=" << convergecast);
+      EXPECT_GT(reference.first_death, 0.0);
+      EXPECT_EQ(reference.first_death, permuted.first_death);
+      EXPECT_EQ(reference.quarter_dead, permuted.quarter_dead);
+      EXPECT_EQ(reference.field_partition, permuted.field_partition);
+    }
+  }
 }
 
 // ---- executor nesting: batch x intra threads ------------------------

@@ -253,6 +253,17 @@ TEST(ApiSerialize, MalformedInputFailsLoudly) {
   EXPECT_EQ(parse_scenario_json(R"({"scenario": {"method": {"name": "yao", "yao_cones": 1024}}})")
                 .scenario.method.yao_cones,
             method_spec::max_yao_cones);
+  // And stretch sample counts past deployment_spec::max_nodes: beyond
+  // it every node is a source already. The cap itself is accepted.
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"metrics": {"stretch_samples": 1e15}}})"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      parse_scenario_json(R"({"scenario": {"metrics": {"stretch_samples": 16777217}}})"),
+      std::invalid_argument);
+  EXPECT_EQ(parse_scenario_json(R"({"scenario": {"metrics": {"stretch_samples": 16777216}}})")
+                .scenario.metrics.stretch_samples,
+            deployment_spec::max_nodes);
   // Positions without kind "fixed" would silently run a different
   // network than the file describes.
   EXPECT_THROW(parse_scenario_json(R"({"scenario": {"deployment": {"positions": [[0, 0]]}}})"),

@@ -5,8 +5,13 @@
 #include <cmath>
 #include <limits>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+
 #include "algo/pipeline.h"
 #include "geom/random_points.h"
+#include "geom/spatial_order.h"
 #include "graph/euclidean.h"
 #include "graph/graph.h"
 #include "graph/shortest_path.h"
@@ -239,6 +244,51 @@ TEST(PooledStretch, HundredNodesAtEightSamplesRunNineSources) {
   const stretch_stats s = expect_width_invariant(inst.sparse, inst.dense, inst.pts, 8);
   EXPECT_EQ(s.pairs, 9u * 99u);
   EXPECT_EQ(hop_stretch(inst.sparse, inst.dense, 8).pairs, 9u * 99u);
+}
+
+/// `g` with node u renamed label_of[u].
+undirected_graph relabeled(const undirected_graph& g, const std::vector<std::uint32_t>& label_of) {
+  std::vector<edge> edges;
+  for (const edge& e : g.edges()) edges.push_back({label_of[e.u], label_of[e.v]});
+  return undirected_graph::from_edges(g.num_nodes(), edges);
+}
+
+/// Stretch over relabeled graphs and positions, read back through
+/// `label_of`, is the original-label statistic bit for bit, at pool
+/// widths 1 and 4, sampled and all-pairs.
+void expect_label_invisible(const stretch_instance& inst,
+                            const std::vector<std::uint32_t>& label_of) {
+  const std::size_t n = inst.pts.size();
+  std::vector<geom::vec2> rpos(n);
+  for (std::size_t u = 0; u < n; ++u) rpos[label_of[u]] = inst.pts[u];
+  const undirected_graph rsparse = relabeled(inst.sparse, label_of);
+  const undirected_graph rdense = relabeled(inst.dense, label_of);
+  util::thread_pool wide(4);
+  for (const std::size_t samples : {std::size_t{8}, std::size_t{20}, n}) {
+    SCOPED_TRACE(::testing::Message() << "samples=" << samples);
+    const stretch_stats p = power_stretch(inst.sparse, inst.dense, inst.pts, 2.0, samples);
+    const stretch_stats h = hop_stretch(inst.sparse, inst.dense, samples);
+    EXPECT_GT(p.pairs, 0u);
+    for (util::thread_pool* pool : {&util::serial_pool(), &wide}) {
+      expect_bitwise_equal(p, power_stretch(rsparse, rdense, rpos, 2.0, samples, *pool, label_of));
+      expect_bitwise_equal(h, hop_stretch(rsparse, rdense, samples, *pool, label_of));
+    }
+  }
+}
+
+TEST(PooledStretch, RelabeledGraphsFoldInOriginalIds) {
+  const stretch_instance inst = make_stretch_instance(500, 13);
+  const std::size_t n = inst.pts.size();
+  // The engine's Morton order (label k is original node perm[k]) ...
+  const std::vector<std::uint32_t> perm = geom::spatial_order(inst.pts, 500.0);
+  std::vector<std::uint32_t> morton(n);
+  for (std::size_t k = 0; k < n; ++k) morton[perm[k]] = static_cast<std::uint32_t>(k);
+  expect_label_invisible(inst, morton);
+  // ... and an arbitrary shuffle.
+  std::vector<std::uint32_t> shuffled(n);
+  std::iota(shuffled.begin(), shuffled.end(), 0u);
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937_64(3));
+  expect_label_invisible(inst, shuffled);
 }
 
 TEST(PooledStretch, ZeroSamplesMeasureNothing) {

@@ -236,6 +236,27 @@ TEST(WireTest, MalformedMessagesAreRejected) {
                 cones);
     }
   }
+  // And a stretch sample count past deployment_spec::max_nodes (every
+  // node is already a source there); the cap itself decodes.
+  constexpr std::size_t node_cap = api::deployment_spec::max_nodes;
+  for (const std::size_t samples : {std::size_t{1000000000000000}, node_cap + 1, node_cap}) {
+    wire::batch_request sampled;
+    sampled.mode = wire::batch_mode::static_runs;
+    sampled.scenario = *api::find_scenario("paper_table1");
+    sampled.scenario.metrics.stretch_samples = samples;
+    sampled.seeds = {0, 1};
+    sampled.blocks = {0, 1};
+    const std::string frame = wire::encode_batch_request(sampled);
+    if (samples > node_cap) {
+      EXPECT_THROW((void)wire::decode_batch_request(wire::decode_message(frame)),
+                   std::invalid_argument)
+          << frame;
+    } else {
+      EXPECT_EQ(
+          wire::decode_batch_request(wire::decode_message(frame)).scenario.metrics.stretch_samples,
+          samples);
+    }
+  }
   // Region counts and sink ids are refused at decode too: an oversized
   // lane grid must not be allocated, and values past 32 bits must not
   // wrap to small ones (2^32 + 16 regions, 2^32 + 3 as the sink).
