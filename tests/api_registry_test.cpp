@@ -235,5 +235,44 @@ TEST(ApiRegistry, PresetReportsByteIdenticalAcrossRefactors) {
   }
 }
 
+// The adaptive lifetime paths price beacons and route costs per link;
+// pin each policy (and convergecast routing) on an isotropic and a
+// shadowed preset, so a change to that cost code shows here.
+TEST(ApiRegistry, LifetimePoliciesByteIdenticalAcrossRefactors) {
+  const engine eng;
+  const block_range first{.first = 0, .count = 1};
+  struct policy_pin {
+    const char* preset;
+    lifetime_spec life;
+    const char* label;
+    std::uint64_t digest;
+  };
+  const lifetime_spec base{.battery_rounds = 25.0, .flows = 15, .max_rounds = 2000};
+  lifetime_spec balanced = base;
+  balanced.policy = lifetime_policy::energy_balanced;
+  lifetime_spec cooperative = base;
+  cooperative.policy = lifetime_policy::cooperative_adaptation;
+  lifetime_spec convergecast = base;
+  convergecast.convergecast = true;
+  const policy_pin pins[] = {
+      {"paper_table1", balanced, "energy_balanced", 0xdd68389380355a14ull},
+      {"paper_table1", cooperative, "cooperative_adaptation", 0x2f1d3f22532b5f74ull},
+      {"paper_table1", convergecast, "convergecast", 0xec034b492565498bull},
+      {"shadowed_field", balanced, "energy_balanced", 0x80e7e615d8515ae9ull},
+      {"shadowed_field", cooperative, "cooperative_adaptation", 0x04f2453da53adbf3ull},
+      {"shadowed_field", convergecast, "convergecast", 0x294152ceacc85255ull},
+  };
+  for (const policy_pin& p : pins) {
+    for (const unsigned w : pin_widths) {
+      const scenario_spec spec = pinned(get_scenario(p.preset), w);
+      const std::uint64_t got = block_digest<lifetime_batch_report>([&](const auto& sink) {
+        eng.run_batch_blocks(spec, p.life, pin_seeds, first, 1, sink);
+      });
+      EXPECT_EQ(got, p.digest) << p.preset << " under " << p.label << " at intra_threads " << w
+                               << ": digest " << hex(got);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cbtc::api

@@ -361,16 +361,27 @@ TEST(Propagation, PricedMaxPowerGraphUnderRelabelingReadsOriginalPrices) {
 
 /// O(n^2) reference growth by required link power: every node whose
 /// link closes at P, ordered by (required power, id) and run through
-/// Figure 1 (discrete) or one admission per level (continuous).
+/// Figure 1 (discrete) or one admission per level (continuous). An
+/// isotropic link is Figure 1 verbatim: candidates within R, ordered by
+/// (distance, id), admitted while d <= range(p), and a continuous level
+/// priced p(d) unclipped.
 algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
                                         const radio::link_model& link,
                                         const algo::cbtc_params& params) {
   struct cand {
-    double req;
+    double req;  // sort key: distance when isotropic, required power otherwise
     graph::node_id id;
   };
+  const bool isotropic = link.is_isotropic();
+  const radio::power_model& pm = link.power();
   const double cap = link.max_power() * (1.0 + 1e-12);
-  const double p0 = link.power().required_power(link.max_range() / 16.0);
+  const double p0 = pm.required_power(link.max_range() / 16.0);
+  const auto admits = [&](const cand& c, double p) {
+    return isotropic ? c.req <= pm.range(p) : c.req <= p * (1.0 + 1e-12);
+  };
+  const auto level_power = [&](const cand& c) {
+    return isotropic ? pm.required_power(c.req) : std::min(c.req, link.max_power());
+  };
   algo::cbtc_result out;
   out.params = params;
   out.nodes.resize(positions.size());
@@ -378,6 +389,13 @@ algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
     std::vector<cand> cands;
     for (graph::node_id v = 0; v < positions.size(); ++v) {
       if (v == u) continue;
+      if (isotropic) {
+        const double r = link.max_range();
+        if (geom::distance_sq(positions[u], positions[v]) <= r * r) {
+          cands.push_back({(positions[v] - positions[u]).norm(), v});
+        }
+        continue;
+      }
       const double req = link.required_power(u, v, positions[u], positions[v]);
       if (req <= cap) cands.push_back({req, v});
     }
@@ -398,7 +416,7 @@ algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
       while (p < link.max_power() && geom::has_alpha_gap(dirs, params.alpha)) {
         p = std::min(p * params.increase_factor, link.max_power());
         res.level_powers.push_back(p);
-        for (; next < cands.size() && cands[next].req <= p * (1.0 + 1e-12); ++next) {
+        for (; next < cands.size() && admits(cands[next], p); ++next) {
           admit(cands[next], p);
         }
       }
@@ -406,7 +424,7 @@ algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
       res.boundary = geom::has_alpha_gap(dirs, params.alpha);
     } else {
       for (; next < cands.size() && geom::has_alpha_gap(dirs, params.alpha); ++next) {
-        res.level_powers.push_back(std::min(cands[next].req, link.max_power()));
+        res.level_powers.push_back(level_power(cands[next]));
         admit(cands[next], res.level_powers.back());
       }
       res.boundary = geom::has_alpha_gap(dirs, params.alpha);
@@ -424,8 +442,9 @@ algo::cbtc_result reference_link_growth(std::span<const vec2> positions,
 TEST(Propagation, LinkGrowthOverPricedRowsMatchesQuadraticReference) {
   const radio::power_model pm(2.0, 500.0);
   const auto positions = random_field(220, 1700.0, 31);
-  for (const radio::link_model& link :
-       {radio::link_model(pm, shadowing(31)), radio::link_model(pm, two_blocks())}) {
+  for (const radio::link_model& link : {radio::link_model(pm, shadowing(31)),
+                                        radio::link_model(pm, two_blocks()),
+                                        radio::link_model(pm)}) {
     for (const auto mode : {algo::growth_mode::discrete, algo::growth_mode::continuous}) {
       algo::cbtc_params params;
       params.mode = mode;
