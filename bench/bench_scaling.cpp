@@ -376,17 +376,21 @@ BENCHMARK(BM_EngineBaselineMst)->RangeMultiplier(2)->Range(100, 800);
 
 // -- intra-instance parallel growth (serial vs threaded, large n) -----
 
-/// Times the oracle growth loop alone (algo::run_cbtc) on one large
-/// instance: range(0) nodes at the paper's density, range(1) intra
-/// threads. The 10k x {1, 4} pair is the headline intra-parallel
-/// speedup row; results are bitwise identical across the thread axis.
+/// Times the oracle growth loop alone (algo::run_cbtc over a prebuilt
+/// G_R) on one large instance: range(0) nodes at the paper's density,
+/// range(1) intra threads. G_R is built once, outside the timing loop,
+/// as the engine does per run. The 10k x {1, 4} pair is the headline
+/// intra-parallel speedup row; results are bitwise identical across
+/// the thread axis.
 void BM_CbtcGrowthIntraThreads(benchmark::State& state) {
   const auto positions = make_positions(state.range(0));
   algo::cbtc_params params;
   params.mode = algo::growth_mode::continuous;
   params.intra_threads = static_cast<unsigned>(state.range(1));
+  util::thread_pool pool(params.intra_threads);
+  const graph::priced_graph gr{graph::build_max_power_graph(positions, pm, pool)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(algo::run_cbtc(positions, pm, params));
+    benchmark::DoNotOptimize(algo::run_cbtc(positions, pm, params, gr));
   }
   state.SetComplexityN(state.range(0));
 }

@@ -7,12 +7,15 @@ namespace cbtc::algo {
 
 namespace {
 
+/// Whether CBTC(alpha) over `gr` (G_R without a price column: the
+/// isotropic growth reads its rows only) keeps G_R's connectivity.
 bool preserved_at(std::span<const geom::vec2> positions, const radio::power_model& power,
-                  const graph::undirected_graph& gr, double alpha, growth_mode mode) {
+                  const graph::priced_graph& gr, double alpha, growth_mode mode) {
   cbtc_params params;
   params.alpha = alpha;
   params.mode = mode;
-  return graph::same_connectivity(run_cbtc(positions, power, params).symmetric_closure(), gr);
+  return graph::same_connectivity(run_cbtc(positions, power, params, gr).symmetric_closure(),
+                                  gr.graph);
 }
 
 }  // namespace
@@ -22,7 +25,7 @@ alpha_scan_result scan_alpha(std::span<const geom::vec2> positions,
                              std::size_t steps, growth_mode mode) {
   alpha_scan_result result;
   if (steps == 0) return result;
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power);
+  const graph::priced_graph gr{graph::build_max_power_graph(positions, power)};
 
   bool prefix_intact = true;
   result.all_preserved = true;
@@ -43,7 +46,7 @@ alpha_scan_result scan_alpha(std::span<const geom::vec2> positions,
 double max_preserving_alpha(std::span<const geom::vec2> positions,
                             const radio::power_model& power, double lo, double hi, double tol,
                             growth_mode mode) {
-  const graph::undirected_graph gr = graph::build_max_power_graph(positions, power);
+  const graph::priced_graph gr{graph::build_max_power_graph(positions, power)};
   if (!preserved_at(positions, power, gr, lo, mode)) return 0.0;
   if (preserved_at(positions, power, gr, hi, mode)) return hi;
   // Invariant: lo preserves, hi does not.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -107,6 +108,9 @@ gain_removal_result apply_gain_aware_removal(const graph::undirected_graph& g,
                                              const radio::link_model& link,
                                              const gain_removal_options& opts,
                                              util::thread_pool& pool) {
+  if (!candidates.has_prices()) {
+    throw std::invalid_argument("apply_gain_aware_removal: candidate graph has no price column");
+  }
   gain_removal_result res;
   const std::size_t n = g.num_nodes();
 

@@ -121,7 +121,8 @@ struct gain_removal_result {
 /// witness paths live there, so redundancy decisions are independent
 /// of which edges earlier passes already pruned. Every hop's price is
 /// read from the candidates' column, never re-evaluated; positions and
-/// link only price an edge of `g` that is not a G_R edge.
+/// link only price an edge of `g` that is not a G_R edge. Throws
+/// std::invalid_argument when `candidates` has no price column.
 [[nodiscard]] gain_removal_result apply_gain_aware_removal(
     const graph::undirected_graph& g, const graph::priced_graph& candidates,
     std::span<const geom::vec2> positions, const radio::link_model& link,

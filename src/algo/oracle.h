@@ -81,18 +81,21 @@ struct cbtc_result {
 /// isotropic link). Neighbors are discovered in order of *required
 /// link power* (p(d) / gain), which generalizes distance order: a
 /// broadcast at power p discovers exactly the nodes whose link closes
-/// at p (the medium's decodability test). Isotropic links run the
-/// distance-ordered growth of Figure 1 directly.
+/// at p (the medium's decodability test). This form builds G_R (with
+/// a price column only under gains) and runs the G_R form below.
 [[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
                                    const radio::link_model& link, const cbtc_params& params);
 
-/// Growth by required link power over a prebuilt priced G_R
-/// (`candidates` = graph::build_priced_max_power_graph(positions, link),
-/// in the same label space as `positions`): node u's candidates are
-/// its row and their prices are the column, so growth evaluates no
-/// gain. The three-argument form builds the priced G_R itself for
-/// non-isotropic links; isotropic links run the distance-ordered grid
-/// kernels there instead, which are the bitwise reference for them.
+/// Growth over a prebuilt G_R (`candidates`, in the same label space
+/// as `positions`): node u's candidates are its row. One discrete and
+/// one continuous kernel serve every link; the link kind picks, once
+/// per run, the order key and the admission test. Isotropic links
+/// order by distance, admit d <= range(p) and read no price, so
+/// `candidates` may carry no column (graph::priced_graph{
+/// graph::build_max_power_graph(positions, link)}). Under gains the
+/// order is the column's required power, admitted at req <= p, so
+/// `candidates` must be graph::build_priced_max_power_graph(positions,
+/// link) (std::invalid_argument otherwise) and growth evaluates no gain.
 [[nodiscard]] cbtc_result run_cbtc(std::span<const geom::vec2> positions,
                                    const radio::link_model& link, const cbtc_params& params,
                                    const graph::priced_graph& candidates);

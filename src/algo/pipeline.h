@@ -72,9 +72,11 @@ struct topology_result {
                                                   const radio::link_model& link,
                                                   const optimization_set& opts = {});
 
-/// Same, with the run's priced G_R (graph::build_priced_max_power_graph
-/// over `positions` and `link`, in the same label space): the
-/// gain-aware op3 reads its witness paths and link prices from it.
+/// Same, with the run's G_R (in the same label space as `positions`):
+/// the gain-aware op3 reads its witness paths and link prices from it,
+/// so when runs_gain_aware_removal holds it must carry its price
+/// column (graph::build_priced_max_power_graph); otherwise it is not
+/// read and may have none.
 [[nodiscard]] topology_result apply_optimizations(cbtc_result grown,
                                                   std::span<const geom::vec2> positions,
                                                   const radio::link_model& link,

@@ -193,24 +193,21 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   const std::vector<geom::vec2>& gpos = relabel ? rpos : positions;
   const radio::link_model glink = relabel ? link.relabeled(perm) : link;
 
-  // G_R is built once per run, in the pipeline's label space. When a
-  // pass reads link prices (non-isotropic growth and power, the
-  // gain-aware op3, STC), it is built priced; every pass reads that
-  // column instead of evaluating a gain. Invariants and stretch read
-  // the same graph after the column's last use; only max_power_out
-  // permutes it back to original labels.
+  // G_R is built once per run, in the pipeline's label space, and every
+  // pass reads it: growth takes each node's candidates from its row.
+  // Its price column is filled only when a pass reads prices (growth
+  // and power under gains, the gain-aware op3, STC); every such pass
+  // reads the column instead of evaluating a gain. Invariants and
+  // stretch read the same graph after the column's last use; only
+  // max_power_out permutes it back to original labels.
   const bool cbtc_method = spec.method.k == method_spec::kind::oracle ||
                            spec.method.k == method_spec::kind::protocol;
   const bool priced = !link.is_isotropic() || spec.method.k == method_spec::kind::stc ||
                       (cbtc_method && algo::runs_gain_aware_removal(spec.opts, link));
-  graph::priced_graph prices;
-  graph::undirected_graph gr;
-  if (priced) {
-    prices = graph::build_priced_max_power_graph(gpos, glink, pool);
-  } else {
-    gr = graph::build_max_power_graph(gpos, glink, pool);
-  }
-  r.max_power_edges = priced ? prices.graph.num_edges() : gr.num_edges();
+  graph::priced_graph prices =
+      priced ? graph::build_priced_max_power_graph(gpos, glink, pool)
+             : graph::priced_graph{graph::build_max_power_graph(gpos, glink, pool)};
+  r.max_power_edges = prices.graph.num_edges();
 
   const auto adopt = [&r](algo::topology_result t) {
     r.growth = std::move(t.growth);
@@ -220,14 +217,11 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
     r.removed_edges = t.removed_edges;
   };
   const auto optimize = [&](algo::cbtc_result grown) {
-    return priced ? algo::apply_optimizations(std::move(grown), gpos, glink, spec.opts, prices)
-                  : algo::apply_optimizations(std::move(grown), gpos, glink, spec.opts);
+    return algo::apply_optimizations(std::move(grown), gpos, glink, spec.opts, prices);
   };
   switch (spec.method.k) {
     case method_spec::kind::oracle: {
-      algo::topology_result t =
-          optimize(link.is_isotropic() ? algo::run_cbtc(gpos, glink, spec.cbtc)
-                                       : algo::run_cbtc(gpos, glink, spec.cbtc, prices));
+      algo::topology_result t = optimize(algo::run_cbtc(gpos, glink, spec.cbtc, prices));
       if (relabel) restore_labels(t, perm, pool);
       adopt(std::move(t));
       break;
@@ -257,7 +251,7 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
       break;
     }
     case method_spec::kind::baseline:
-      r.topology = build_baseline(spec.method, positions, R, priced ? prices.graph : gr);
+      r.topology = build_baseline(spec.method, positions, R, prices.graph);
       break;
   }
   if (r.has_growth) r.boundary_nodes = r.growth.boundary_count();
@@ -282,12 +276,11 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
     // Per-node radius pass: powers land per slot, the sum/max reduce in
     // fixed block order — identical output for any intra_threads. The
     // radius metric stays geometric (the paper's rad_u) under every
-    // propagation model; the power is the per-link budget, which for
-    // isotropic gains is exactly p(rad_u).
-    const bool isotropic = link.is_isotropic();
-    // A G_R edge's power is read from the column; an edge outside G_R
-    // (a bridge-augmentation or geometric-baseline edge) is priced on
-    // the spot.
+    // propagation model; the power is the per-link budget, the max
+    // price of the node's links (p(rad_u) when isotropic, p being
+    // monotone). A G_R edge's power is read from the column when there
+    // is one; any other edge (no column, a bridge-augmentation or a
+    // geometric-baseline edge) is priced on the spot.
     const auto link_power = [&](graph::node_id u, graph::node_id v) {
       const std::optional<double> p =
           relabel ? prices.find_power(label_of[u], label_of[v]) : prices.find_power(u, v);
@@ -302,20 +295,15 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
         [&](std::size_t lo, std::size_t hi) {
           radius_partial part;
           for (std::size_t u = lo; u < hi; ++u) {
-            const double rad = graph::node_radius(r.topology, positions, u, R);
-            if (isotropic) {
-              r.node_powers[u] = pm.required_power(rad);
-            } else {
-              const auto uid = static_cast<graph::node_id>(u);
-              double need = 0.0;
-              for (const graph::node_id v : r.topology.neighbors(uid)) {
-                need = std::max(need, link_power(uid, v));
-              }
-              // Isolated (boundary) nodes still broadcast at P, the
-              // same convention the geometric pass encodes via the
-              // isolated radius R.
-              r.node_powers[u] = r.topology.degree(uid) == 0 ? pm.max_power() : need;
+            const auto uid = static_cast<graph::node_id>(u);
+            const double rad = graph::node_radius(r.topology, positions, uid, R);
+            double need = 0.0;
+            for (const graph::node_id v : r.topology.neighbors(uid)) {
+              need = std::max(need, link_power(uid, v));
             }
+            // Isolated (boundary) nodes still broadcast at P, the same
+            // convention the radius encodes via the isolated radius R.
+            r.node_powers[u] = r.topology.degree(uid) == 0 ? pm.max_power() : need;
             part.sum += rad;
             part.max = std::max(part.max, rad);
           }
@@ -332,12 +320,10 @@ run_report engine::run_internal(const scenario_spec& spec, std::uint64_t seed,
   for (const double p : r.node_powers) power_sum += p;
   r.avg_power = r.nodes == 0 ? 0.0 : power_sum / static_cast<double>(r.nodes);
 
-  if (priced) {
-    // Last use of the column: free it, keep the graph.
-    prices.up_power = {};
-    prices.up_offsets = {};
-    gr = std::move(prices.graph);
-  }
+  // Last use of the column: free it, keep the graph.
+  prices.up_power = {};
+  prices.up_offsets = {};
+  graph::undirected_graph& gr = prices.graph;
 
   // The passes that read G_R run in its (pipeline) label space, on a
   // pipeline-label copy of the final topology; their reports fold in

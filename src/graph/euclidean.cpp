@@ -147,6 +147,7 @@ priced_graph build_csr_max_power_once(std::span<const geom::vec2> positions,
 }  // namespace
 
 std::optional<double> priced_graph::find_power(node_id u, node_id v) const {
+  if (!has_prices()) return std::nullopt;
   const node_id lo = std::min(u, v);
   const node_id hi = std::max(u, v);
   const std::span<const node_id> ups = up_neighbors(lo);

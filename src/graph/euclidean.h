@@ -13,6 +13,8 @@
 // p(d) / gain, so the gain-aware build keeps it: priced_graph is G_R
 // plus that price as a column, which growth, gain-aware op3, STC and
 // the engine's power pass read instead of evaluating the gain again.
+// A run whose passes read no price (isotropic growth orders by
+// distance) holds G_R in a priced_graph with no column.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +39,15 @@ namespace cbtc::graph {
 /// binary search in its lower endpoint's row. Prices are bitwise
 /// symmetric (distance is a hypot and every gain is symmetric), so the
 /// value priced from the lower endpoint is the one either endpoint
-/// would compute.
+/// would compute. A priced_graph built from a bare graph
+/// (`priced_graph{g}`) has no column: find_power answers nullopt and
+/// any_link must not be called.
 struct priced_graph {
   undirected_graph graph;
-  std::vector<std::size_t> up_offsets;  // num_nodes + 1 entries
-  std::vector<double> up_power;
+  std::vector<std::size_t> up_offsets{};  // num_nodes + 1 entries, or none without a column
+  std::vector<double> up_power{};
+
+  [[nodiscard]] bool has_prices() const { return !up_offsets.empty(); }
 
   /// u's up-neighbours (v > u), aligned with up_powers(u).
   [[nodiscard]] std::span<const node_id> up_neighbors(node_id u) const {
@@ -52,7 +58,8 @@ struct priced_graph {
     return {up_power.data() + up_offsets[u], up_offsets[u + 1] - up_offsets[u]};
   }
 
-  /// Required power of link {u, v}, or nullopt when it is not a G_R edge.
+  /// Required power of link {u, v}, or nullopt when it is not a G_R
+  /// edge or there is no column.
   [[nodiscard]] std::optional<double> find_power(node_id u, node_id v) const;
 
   /// Calls pred(v, power of {u, v}) over u's row, in row order, until
@@ -86,7 +93,9 @@ struct priced_graph {
 /// pair's gain is evaluated exactly once, from its lower endpoint, and
 /// the accepted pair's required power becomes its column entry;
 /// isotropic links price the distance-built G_R with p(d). Identical
-/// for any pool width.
+/// for any pool width. A run that reads no price (isotropic growth,
+/// the angle op3) wraps build_max_power_graph instead:
+/// `priced_graph{build_max_power_graph(positions, link, pool)}`.
 [[nodiscard]] priced_graph build_priced_max_power_graph(
     std::span<const geom::vec2> positions, const radio::link_model& link,
     util::thread_pool& pool = util::serial_pool());

@@ -21,8 +21,10 @@
 #include <any>
 #include <cmath>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
+#include "algo/gain_removal.h"
 #include "algo/oracle.h"
 #include "geom/angle.h"
 #include "geom/random_points.h"
@@ -470,6 +472,45 @@ TEST(Propagation, LinkGrowthOverPricedRowsMatchesQuadraticReference) {
       }
     }
   }
+}
+
+TEST(Propagation, GrowthReadsThePriceColumnOnlyUnderGains) {
+  const radio::power_model pm(2.0, 500.0);
+  const auto positions = random_field(150, 1500.0, 12);
+  const graph::priced_graph bare{graph::build_max_power_graph(positions, pm)};
+  ASSERT_FALSE(bare.has_prices());
+  ASSERT_GT(bare.graph.num_edges(), 0u);
+  const graph::node_id u = 0;
+  ASSERT_FALSE(bare.graph.neighbors(u).empty());
+  EXPECT_FALSE(bare.find_power(u, bare.graph.neighbors(u).front()).has_value());
+
+  // Isotropic growth orders by distance and ignores a column if there is one.
+  const graph::priced_graph priced = graph::build_priced_max_power_graph(positions, pm);
+  ASSERT_TRUE(priced.has_prices());
+  for (const auto mode : {algo::growth_mode::discrete, algo::growth_mode::continuous}) {
+    algo::cbtc_params params;
+    params.mode = mode;
+    const algo::cbtc_result a = algo::run_cbtc(positions, pm, params, bare);
+    const algo::cbtc_result b = algo::run_cbtc(positions, pm, params, priced);
+    for (std::size_t v = 0; v < positions.size(); ++v) {
+      EXPECT_EQ(a.nodes[v].level_powers, b.nodes[v].level_powers) << v;
+      ASSERT_EQ(a.nodes[v].neighbors.size(), b.nodes[v].neighbors.size()) << v;
+      for (std::size_t i = 0; i < a.nodes[v].neighbors.size(); ++i) {
+        EXPECT_EQ(a.nodes[v].neighbors[i].id, b.nodes[v].neighbors[i].id) << v;
+        EXPECT_EQ(a.nodes[v].neighbors[i].discovery_power,
+                  b.nodes[v].neighbors[i].discovery_power) << v;
+      }
+    }
+  }
+
+  // Under gains, growth and the gain-aware op3 need the column.
+  const radio::link_model shadowed(pm, shadowing(12));
+  const graph::priced_graph shadowed_bare{graph::build_max_power_graph(positions, shadowed)};
+  EXPECT_THROW((void)algo::run_cbtc(positions, shadowed, {}, shadowed_bare),
+               std::invalid_argument);
+  EXPECT_THROW((void)algo::apply_gain_aware_removal(shadowed_bare.graph, shadowed_bare, positions,
+                                                    shadowed, {}, util::serial_pool()),
+               std::invalid_argument);
 }
 
 // ---- live index under non-uniform gains -----------------------------

@@ -18,6 +18,7 @@
 //           writes the resolved scenario back out as JSON, so named
 //           scenarios can be pinned as experiment config files.
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -131,6 +132,8 @@ int usage() {
       "            [--gain-aware]  (force the gain-aware op3 pass; non-isotropic\n"
       "             scenarios with --pairwise-style opts route to it anyway)\n"
       "            [--alpha RAD] [--nodes N] [--region S] [--range R]\n"
+      "            (--nodes without --region scales the region and the\n"
+      "             cluster spread by sqrt(N / scenario nodes): same density)\n"
       "            [--propagation isotropic|shadowing|obstacles]\n"
       "            [--shadow-sigma DB] [--shadow-clamp DB]\n"
       "            [--lifetime] [--policy plain|balanced|cooperative]\n"
@@ -436,7 +439,19 @@ sweep_setup resolve_sweep(const cli_args& args) {
   }
   if (args.has_flag("gain-aware")) spec.opts.gain_aware = true;
   if (args.options.contains("alpha")) spec.cbtc.alpha = args.num("alpha", spec.cbtc.alpha);
-  if (args.options.contains("nodes")) spec.deploy.nodes = node_count(args, spec.deploy.nodes);
+  if (args.options.contains("nodes")) {
+    const std::size_t preset_nodes = spec.deploy.nodes;
+    spec.deploy.nodes = node_count(args, preset_nodes);
+    // Keep the scenario's density: without --region the region (and
+    // the cluster spread) grows by sqrt(N / N0), so a large --nodes
+    // does not pack N nodes into the preset's square.
+    if (!args.options.contains("region") && preset_nodes > 0 && spec.deploy.nodes > 0) {
+      const double scale = std::sqrt(static_cast<double>(spec.deploy.nodes) /
+                                     static_cast<double>(preset_nodes));
+      spec.deploy.region_side *= scale;
+      spec.deploy.cluster_sigma *= scale;
+    }
+  }
   if (args.options.contains("region")) {
     spec.deploy.region_side = args.num("region", spec.deploy.region_side);
   }
